@@ -49,8 +49,8 @@ const (
 	// EvWhatIfBatch opens a WhatIf batch: Candidates, Workers.
 	EvWhatIfBatch = "whatif.batch"
 	// EvWhatIfCand closes one WhatIf candidate: Index (1-based), Op,
-	// Outcome ("ok"|"err"). Emitted from worker goroutines; order
-	// across candidates is scheduling-dependent.
+	// Outcome ("ok"|"err"). It ends the block of that candidate's
+	// events; blocks arrive in candidate order at any parallelism.
 	EvWhatIfCand = "whatif.candidate"
 	// EvFlowBound is one flow's finished bound with its full
 	// Lemma-2/Property-3 decomposition: Flow, Value (Ri), Decomp.

@@ -56,7 +56,8 @@ type LoadgenConfig struct {
 	Clients int
 	// Repeat is how many times each client replays the trace (default 1).
 	Repeat int
-	// Client overrides the HTTP client (default http.DefaultClient).
+	// Client overrides the HTTP client (default: a private client whose
+	// idle connections are closed when the run returns).
 	Client *http.Client
 	// Tenants, when non-empty, runs the loadgen multi-tenant: client c
 	// replays against /v1/{Tenants[c mod len(Tenants)]}/... so the churn
@@ -115,7 +116,12 @@ func RunLoadgen(ctx context.Context, cfg LoadgenConfig) (*LoadgenStats, error) {
 	}
 	hc := cfg.Client
 	if hc == nil {
-		hc = http.DefaultClient
+		// A private transport, released on return: a pooled connection
+		// the server never read a request on would otherwise delay the
+		// server's graceful shutdown by up to five seconds.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		defer tr.CloseIdleConnections()
+		hc = &http.Client{Transport: tr}
 	}
 	logf := cfg.Logf
 	if logf == nil {

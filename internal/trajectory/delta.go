@@ -44,8 +44,8 @@ const maxUndoDepth = 32
 type undoSnap struct {
 	prev      *undoSnap
 	fs        *model.FlowSet
-	full      []*viewCache
-	prefix    [][]*viewCache
+	full      []viewSlot
+	prefix    [][]viewSlot
 	entryBase []int
 	nEntries  int
 
@@ -139,9 +139,9 @@ func closureFrom(fs *model.FlowSet, seed []bool) []bool {
 	return in
 }
 
-// remapView rewrites a kept view for a mutated flow list: flow indexes
-// above `removed` shift down by one (removed < 0 means no shift, only
-// the entry ids changed), the precomputed global entry ids are
+// remapView rewrites a kept slot's view for a mutated flow list: flow
+// indexes above `removed` shift down by one (removed < 0 means no
+// shift, only the entry ids changed), the precomputed global entry ids are
 // translated to the new bases, and the read set is rebuilt against the
 // new ids. Only views that do NOT interfere with the changed flow are
 // ever remapped, so the cached constants (A offsets, M terms, slow
@@ -150,10 +150,12 @@ func closureFrom(fs *model.FlowSet, seed []bool) []bool {
 // index-bearing ones. Remapping runs while the Analyzer still holds the
 // PRE-mutation entry bases (a.entryBase); the new bases arrive as the
 // entryBase argument. On a copy-on-write fork the view is cloned first
-// — the original stays aliased by the base Analyzer.
-func (a *Analyzer) remapView(vc *viewCache, removed int, entryBase []int) *viewCache {
+// — the original stays aliased by the base Analyzer. The slot's shown
+// mark carries over: it is still the view this analyzer handed out.
+func (a *Analyzer) remapView(s viewSlot, removed int, entryBase []int) viewSlot {
+	vc := s.vc
 	if vc == nil {
-		return nil
+		return s
 	}
 	if a.cow {
 		clone := a.arena.newView()
@@ -190,24 +192,20 @@ func (a *Analyzer) remapView(vc *viewCache, removed int, entryBase []int) *viewC
 	// injective in both numberings, so the dedup pattern — and hence the
 	// id count and first-occurrence order — is preserved and the rebuild
 	// fits the existing backing exactly.
-	sc := &a.build
-	sc.markEpoch++
-	ids := vc.readIDs[:0]
-	for x := range vc.jflow {
-		ids = sc.appendRead(ids, vc.iEnt[x])
-		ids = sc.appendRead(ids, vc.jEnt[x])
-	}
-	vc.readIDs = ids
-	return vc
+	ms := &a.multi
+	ms.seen = growN(ms.seen, vc.plen)
+	vc.readIDs = vc.appendReads(vc.readIDs[:0], newBaseI, ms.seen)
+	s.vc = vc
+	return s
 }
 
 // remapPrefixRow remaps every built view of one flow's prefix row.
-func (a *Analyzer) remapPrefixRow(row []*viewCache, removed int, entryBase []int) []*viewCache {
+func (a *Analyzer) remapPrefixRow(row []viewSlot, removed int, entryBase []int) []viewSlot {
 	if row == nil {
 		return nil
 	}
 	if a.cow {
-		row = append([]*viewCache(nil), row...)
+		row = append([]viewSlot(nil), row...)
 	}
 	for k := range row {
 		row[k] = a.remapView(row[k], removed, entryBase)
@@ -307,8 +305,8 @@ func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 	// Existing flows whose views gain the new interferer.
 	nbr := intersectors(nfs, nOld)
 
-	full := make([]*viewCache, nOld+1)
-	prefix := make([][]*viewCache, nOld+1)
+	full := make([]viewSlot, nOld+1)
+	prefix := make([][]viewSlot, nOld+1)
 	for j := 0; j < nOld; j++ {
 		if nbr[j] {
 			continue // rebuilt lazily with the new interferer
@@ -411,8 +409,8 @@ func (a *Analyzer) RemoveFlow(i int) (err error) {
 	}
 	closure := closureFrom(nfs, closureSeed)
 
-	full := make([]*viewCache, nOld-1)
-	prefix := make([][]*viewCache, nOld-1)
+	full := make([]viewSlot, nOld-1)
+	prefix := make([][]viewSlot, nOld-1)
 	var seed smaxTable
 	var dirty []bool
 	if warm {
@@ -500,8 +498,8 @@ func (a *Analyzer) UpdateFlow(i int, f *model.Flow) (err error) {
 		}
 	}
 
-	full := make([]*viewCache, n)
-	prefix := make([][]*viewCache, n)
+	full := make([]viewSlot, n)
+	prefix := make([][]viewSlot, n)
 	var seed smaxTable
 	var dirty []bool
 	if warm {

@@ -149,11 +149,10 @@ func TestWarmDeltaDeterminism(t *testing.T) {
 	}
 }
 
-// TestUntracedMatchesTraced pins the fused all-prefix builder against
-// the lazy traced path: buildAll is gated on Tracer == nil, so an
-// untraced Analyze takes the fused sweep while a traced one builds
-// views lazily — and both must produce deeply equal Results (bounds,
-// details, sweep counts) and identical error strings.
+// TestUntracedMatchesTraced pins tracing as observation only: traced
+// and untraced analyzers run the same view builder (buildAll), and the
+// tracer-on run must produce a Result deeply equal to the tracer-off
+// run (bounds, details, sweep counts) and an identical error string.
 func TestUntracedMatchesTraced(t *testing.T) {
 	for si, fs := range determinismSets(t) {
 		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail} {

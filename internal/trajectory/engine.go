@@ -56,12 +56,15 @@ type Analyzer struct {
 	fs  *model.FlowSet
 	opt Options
 
-	// full[i] is the cached context of flow i's full-path view;
-	// prefix[i][k] of the view over Path[:k] (1 ≤ k < len(Path)).
-	// Both are built lazily, in the evaluation order of the reference
-	// path, so divergence errors surface for the same flow.
-	full   []*viewCache
-	prefix [][]*viewCache
+	// full[i] is the slot of flow i's full-path view; prefix[i][k] of
+	// the view over Path[:k] (1 ≤ k < len(Path)). buildAll fills every
+	// missing slot of a flow at once, but a slot's view is handed out —
+	// and its bslow.fixpoint event emitted, or its build error returned
+	// — only when first requested, in the evaluation order of the
+	// reference path, so traces and errors surface for the same flow at
+	// the same point.
+	full   []viewSlot
+	prefix [][]viewSlot
 
 	// entryBase[i] is the global id base of flow i's Smax entries:
 	// entry (i,k) has id entryBase[i]+k. Ids index both the flat Smax
@@ -77,13 +80,9 @@ type Analyzer struct {
 	colors  []int32
 	nColors int32
 
-	// arena backs every view's SoA slices; build/fix are the reusable
-	// construction and fixed-point scratches (slab.go, below); pair
-	// caches one flow's prefix relations across all prefix lengths;
-	// multi is the fused all-prefix builder's working state (buildAll).
+	// arena backs every view's SoA slices; multi is the view builder's
+	// working state (buildAll, slab.go) and fix the fixed-point scratch.
 	arena slabArena
-	build buildScratch
-	pair  pairScratch
 	multi multiScratch
 	fix   fixScratch
 
@@ -144,8 +143,8 @@ func NewAnalyzer(fs *model.FlowSet, opt Options) (*Analyzer, error) {
 	a := &Analyzer{
 		fs:        fs,
 		opt:       opt,
-		full:      make([]*viewCache, fs.N()),
-		prefix:    make([][]*viewCache, fs.N()),
+		full:      make([]viewSlot, fs.N()),
+		prefix:    make([][]viewSlot, fs.N()),
 		entryBase: make([]int, fs.N()),
 	}
 	n := 0
@@ -165,19 +164,6 @@ func (a *Analyzer) ensureTopo() *denseTopo {
 		a.topo = buildTopo(a.fs)
 	}
 	return a.topo
-}
-
-// ensurePair returns the pair-relation cache for flow i, rebuilding it
-// when it describes another flow or a stale topology. Views of one flow
-// are built back to back (the fixpoint slot list and the full-view
-// loops iterate per flow), so the one-flow granularity hits on every
-// prefix length after the first.
-func (a *Analyzer) ensurePair(i int) *pairScratch {
-	tp := a.ensureTopo()
-	if a.pair.tp != tp || a.pair.flow != i {
-		a.pair.build(a.fs, tp, i)
-	}
-	return &a.pair
 }
 
 // ensureColors returns the greedy coloring of the interference graph:
@@ -481,41 +467,64 @@ func (a *Analyzer) safeEval(vc *viewCache, flat []model.Time, sc *evalScratch) (
 	return r, tStar, nil
 }
 
-// fullCache returns (building on first use) the cached context of flow
-// i's full-path view.
+// fullCache hands out flow i's full-path view (see handOut).
 func (a *Analyzer) fullCache(i int) (*viewCache, error) {
-	if a.full[i] == nil {
-		if a.opt.Tracer == nil {
-			a.buildAll(i)
-		}
+	if s := &a.full[i]; s.shown {
+		return s.vc, nil
 	}
-	if a.full[i] == nil {
-		vc, err := a.buildView(i, len(a.fs.Flows[i].Path))
-		if err != nil {
-			return nil, err
-		}
-		a.full[i] = vc
-	}
-	return a.full[i], nil
+	return a.handOut(i, len(a.fs.Flows[i].Path))
 }
 
-// prefixCache returns (building on first use) the cached context of the
-// view over flow i's path prefix of length k.
+// prefixCache hands out the view over flow i's path prefix of length k
+// (see handOut).
 func (a *Analyzer) prefixCache(i, k int) (*viewCache, error) {
-	if a.prefix[i] == nil {
-		a.prefix[i] = make([]*viewCache, len(a.fs.Flows[i].Path))
+	if row := a.prefix[i]; row != nil && row[k].shown {
+		return row[k].vc, nil
 	}
-	if a.prefix[i][k] == nil && a.opt.Tracer == nil {
+	return a.handOut(i, k)
+}
+
+// slot returns the slot of flow i's view of length plen.
+func (a *Analyzer) slot(i, plen int) *viewSlot {
+	if plen == len(a.fs.Flows[i].Path) {
+		return &a.full[i]
+	}
+	return &a.prefix[i][plen]
+}
+
+// viewSlot is one cached view plus whether this analyzer has handed it
+// out yet. View objects are shared with undo snapshots and WhatIf
+// forks, so the shown mark lives in the slot instead. Forks copy their
+// slots, so a fork's first request emits its own bslow.fixpoint event
+// and never marks the base's slot. A prefix row AddFlow keeps may be
+// shared with the undo snapshot; a restore then keeps the mark, just as
+// it keeps a view built after the snapshot.
+type viewSlot struct {
+	vc    *viewCache
+	shown bool
+}
+
+// handOut serves the first request for flow i's view of length plen:
+// it builds the flow's missing views when the slot is empty, returns
+// the busy-period error the view's build recorded, or marks the slot
+// shown and emits the view's bslow.fixpoint event. Building is silent,
+// so the trace shows each view where the analysis first uses it,
+// however far ahead buildAll built it.
+func (a *Analyzer) handOut(i, plen int) (*viewCache, error) {
+	if a.prefix[i] == nil || a.slot(i, plen).vc == nil {
 		a.buildAll(i)
 	}
-	if a.prefix[i][k] == nil {
-		vc, err := a.buildView(i, k)
-		if err != nil {
-			return nil, err
-		}
-		a.prefix[i][k] = vc
+	s := a.slot(i, plen)
+	vc := s.vc
+	if vc.err != nil {
+		return nil, vc.err
 	}
-	return a.prefix[i][k], nil
+	s.shown = true
+	if tr := a.opt.Tracer; tr != nil {
+		tr.Emit(obs.Event{Type: obs.EvBslow, Flow: a.fs.Flows[i].Name,
+			Iters: vc.bslowIters, Value: vc.bslow})
+	}
+	return vc, nil
 }
 
 // viewCache is the precomputed, Smax-independent context of one path
@@ -552,7 +561,14 @@ type viewCache struct {
 	// dependency set.
 	readIDs []int32
 
-	bslow  model.Time
+	bslow model.Time
+	// bslowIters is the busy-period iteration count, emitted with the
+	// view's bslow.fixpoint event at its first hand-out; err is the
+	// build's divergence or overflow error — such a view is never
+	// evaluated, every request returns err.
+	bslowIters int
+	err        error
+
 	slow   model.NodeID
 	cslow  model.Time
 	maxSum model.Time
@@ -572,105 +588,10 @@ type viewCache struct {
 	sat bool
 }
 
-// buildView precomputes the cached context for flow i's view of length
-// plen, mirroring newBoundCtx term by term. The interferer loop runs on
-// the dense topology (no map lookups) and the M-term/slow-node scans
-// are maintained incrementally in the build scratch: the reference
-// recomputes M from scratch per interferer (O(plen·ni) each), while the
-// scratch keeps per-node same-direction minima/maxima and a lazy prefix
-// fold whose AddSat operand sequence is identical to the reference's at
-// every query point — so values, sticky flags and error surfaces stay
-// bit-identical at O(plen) per same-direction interferer.
-func (a *Analyzer) buildView(i, plen int) (*viewCache, error) {
-	fs := a.fs
-	f := fs.Flows[i]
-	path := f.Path[:plen]
-	cost := f.Cost[:plen]
-	vc := a.arena.newView()
-	vc.flow = i
-	vc.plen = plen
-	vc.period = f.Period
-	vc.jitter = f.Jitter
-	vc.clast = cost[plen-1]
-	vc.delta = a.opt.deltaForView(i, plen, &vc.sat)
-
-	sc := &a.build
-	sc.reset(a.nEntries, plen, cost)
-	lmin := fs.Net.Lmin
-	baseI := int32(a.entryBase[i])
-	ps := a.ensurePair(i)
-	stride := ps.stride
-	fullLen := stride - 1
-	// Pass 1: count the interferers, so the SoA arrays carve at exact
-	// size and the fill below writes directly (no staging copy).
-	ni := 0
-	for j := range fs.Flows {
-		if ps.p0[j] >= 0 && ps.jordPre[j*stride+plen] >= 0 {
-			ni++
-		}
-	}
-	ar := &a.arena
-	vc.jflow = arenaSlice(&ar.ints, ni)
-	vc.iEnt = arenaSlice(&ar.ints, ni)
-	vc.jEnt = arenaSlice(&ar.ints, ni)
-	vc.aConst = arenaSlice(&ar.times, ni)
-	vc.csj = arenaSlice(&ar.times, ni)
-	vc.iperiods = arenaSlice(&ar.times, ni)
-	vc.sameDir = arenaSlice(&ar.bools, ni)
-	x := 0
-	for j := range fs.Flows {
-		if ps.p0[j] < 0 {
-			continue
-		}
-		col := j*stride + plen
-		jord := ps.jordPre[col]
-		if jord < 0 {
-			continue
-		}
-		csj := ps.csjPre[col]
-		per := ps.perJ[j]
-		sd := ps.sdPre[col]
-		// M ranges over the same-direction interferers collected BEFORE
-		// j, so the query precedes the absorb below.
-		m := sc.mTermAt(lmin, int(ps.p0[j]), &vc.sat)
-		// A = (Jj − Smin_j(first_{j,i})) − M: the inner SubSat is the
-		// precomputed jmsPre column; OR-ing its rail flag into vc.sat is
-		// order-independent (sticky flag), so the value AND flag match
-		// computing both SubSats against vc.sat directly.
-		if ps.jmsSat[col] {
-			vc.sat = true
-		}
-		iEnt := baseI + ps.fjiIPre[col]
-		jEnt := int32(a.entryBase[j]) + ps.fijJ[j]
-		vc.jflow[x] = int32(j)
-		vc.iEnt[x] = iEnt
-		vc.jEnt[x] = jEnt
-		vc.aConst[x] = model.SubSat(ps.jmsPre[col], m, &vc.sat)
-		vc.csj[x] = csj
-		vc.iperiods[x] = per
-		vc.sameDir[x] = sd
-		x++
-		sc.addGroup(per, csj)
-		sc.addRead(iEnt)
-		sc.addRead(jEnt)
-		if sd {
-			sc.absorbSameDir(ps.costOn[j*fullLen:j*fullLen+fullLen], plen)
-		}
-	}
-	vc.readIDs = arenaSlice(&ar.ints, len(sc.reads))
-	copy(vc.readIDs, sc.reads)
-
-	if err := a.finishView(vc, path, cost, sc); err != nil {
-		return nil, err
-	}
-	return vc, nil
-}
-
 // finishView runs the interferer-independent tail of a view build:
 // the busy period, the slow-node selection, the fixed W term and the
-// quick-guard majorant constants — against whichever build state
-// accumulated the view's groups and extrema (the per-Analyzer scratch
-// for buildView, a per-plen state for buildAll).
+// quick-guard majorant constants — against the per-plen build state
+// that accumulated the view's groups and extrema.
 func (a *Analyzer) finishView(vc *viewCache, path model.Path, cost []model.Time, sc *buildScratch) error {
 	fs := a.fs
 	if err := vc.computeBslow(fs, a.opt, sc); err != nil {
@@ -700,14 +621,34 @@ func (a *Analyzer) finishView(vc *viewCache, path model.Path, cost []model.Time,
 // bslowFixpointGrouped (harden.go) over the build scratch's (period,
 // charge) groups — value- and flag-equivalent to the reference's
 // per-interferer bslowFixpoint, so divergence and overflow verdicts
-// match the reference path's exactly.
+// and iteration counts match the reference path's exactly.
 func (vc *viewCache) computeBslow(fs *model.FlowSet, opt Options, sc *buildScratch) error {
-	b, err := bslowFixpointGrouped(fs.Flows[vc.flow].Name, opt, vc.period, vc.maxCost(fs), sc.gPer, sc.gChg, sc.gMul)
+	b, iters, err := bslowFixpointGrouped(fs.Flows[vc.flow].Name, opt, vc.period, vc.maxCost(fs), sc.gPer, sc.gChg, sc.gMul)
 	if err != nil {
 		return err
 	}
-	vc.bslow = b
+	vc.bslow, vc.bslowIters = b, iters
 	return nil
+}
+
+// appendReads appends the view's read set to dst: the global Smax entry
+// ids its A offsets read, deduplicated in first-occurrence order of the
+// (iEnt, jEnt) pairs — the dirty-propagation dependency set.
+// Interferers are distinct flows other than the view's own, with
+// disjoint entry ranges, so only the own-flow ids iEnt can repeat; seen
+// (len ≥ plen) marks them by path position relative to base, the view
+// flow's entry base.
+func (vc *viewCache) appendReads(dst []int32, base int32, seen []bool) []int32 {
+	seen = seen[:vc.plen]
+	clear(seen)
+	for x, e := range vc.iEnt {
+		if q := e - base; !seen[q] {
+			seen[q] = true
+			dst = append(dst, e)
+		}
+		dst = append(dst, vc.jEnt[x])
+	}
+	return dst
 }
 
 // maxCost returns the view's maximal per-node cost (C^{slow_i}_i).
@@ -724,43 +665,31 @@ func (vc *viewCache) maxCost(fs *model.FlowSet) model.Time {
 
 // buildAll builds every missing view of flow i — all prefix lengths
 // and the full path — in ONE interferer sweep, filling the SoA arrays
-// directly. It exists purely for speed: buildView via the pair cache
-// recomputes (or stages and re-reads) the per-pair anchors once per
-// prefix length, while the fused sweep derives each pair's anchors
-// once and advances every view's build state in the same ascending-j
-// order a standalone build would use — so each produced view is
-// field-for-field identical to buildView's (the per-view sequences of
-// mTermAt/absorb/addGroup/addRead calls coincide).
+// directly. It is the engine's only view builder, for traced and
+// untraced analyzers and any path length. Each pair's anchors are
+// derived once, and every view's build state advances in ascending-j
+// order, so each view's sequence of mTermAt/absorb/addGroup calls is
+// the reference newBoundCtx's own (the differential tests pin the
+// resulting views and errors).
 //
-// Only called when no tracer is installed: a traced run must emit each
-// view's EvBslow event at the reference's lazy build point, not in an
-// all-at-once batch. A view whose busy period fails to converge is
-// left nil and NOT reported here — the lazy path rebuilds it at the
-// slot that would have built it first, rediscovering the identical
-// error in the reference's order (buildView is deterministic).
-//
-// Paths longer than 64 hops fall back to the lazy path (the read-set
-// dedup keeps one bit per prefix length).
+// Building is silent: each view records its busy-period iteration
+// count, and handOut emits the bslow.fixpoint event when the view is
+// first requested. A view whose busy period diverges or overflows is
+// stored with its error, which its first request returns.
 func (a *Analyzer) buildAll(i int) {
 	fs := a.fs
 	f := fs.Flows[i]
 	L := len(f.Path)
-	if L > 64 {
-		return
-	}
 	if a.prefix[i] == nil {
-		a.prefix[i] = make([]*viewCache, L)
+		a.prefix[i] = make([]viewSlot, L)
 	}
-	var need uint64 // bit p-1: the plen-p view is missing
-	for p := 1; p < L; p++ {
-		if a.prefix[i][p] == nil {
-			need |= 1 << uint(p-1)
+	maxNeed := 0 // the longest missing view
+	for p := 1; p <= L; p++ {
+		if a.slot(i, p).vc == nil {
+			maxNeed = p
 		}
 	}
-	if a.full[i] == nil {
-		need |= 1 << uint(L-1)
-	}
-	if need == 0 {
+	if maxNeed == 0 {
 		return
 	}
 	tp := a.ensureTopo()
@@ -793,16 +722,16 @@ func (a *Analyzer) buildAll(i int) {
 		}
 	}
 
-	// Carve the needed views at exact size and open their build states.
+	// Carve the missing views at exact size and open their build states.
 	ms.vcs = growN(ms.vcs, L)
 	ms.xs = growN(ms.xs, L)
 	ms.st = growN(ms.st, L)
 	ar := &a.arena
 	cum := 0
-	for p := 1; p <= L; p++ {
+	for p := 1; p <= maxNeed; p++ {
 		cum += int(ms.hist[p-1])
-		if need&(1<<uint(p-1)) == 0 {
-			ms.vcs[p-1] = nil
+		ms.vcs[p-1] = nil
+		if a.slot(i, p).vc != nil {
 			continue
 		}
 		vc := ar.newView()
@@ -822,18 +751,12 @@ func (a *Analyzer) buildAll(i int) {
 		vc.sameDir = arenaSlice(&ar.bools, ni)
 		ms.vcs[p-1] = vc
 		ms.xs[p-1] = 0
-		ms.st[p-1].resetLite(p, f.Cost[:p])
+		ms.st[p-1].reset(p, f.Cost[:p])
 	}
-	if len(ms.mEpoch) < a.nEntries {
-		ms.mEpoch = make([]int32, a.nEntries)
-		ms.mBits = make([]uint64, a.nEntries)
-		ms.epoch = 0
-	}
-	ms.epoch++
 
 	// Pass 2: one bucket computation per pair, then an ascending-plen
 	// combine that maintains the prefix anchors incrementally and fills
-	// each needed view's next SoA slot.
+	// each missing view's next SoA slot.
 	lmin := fs.Net.Lmin
 	baseI := int32(a.entryBase[i])
 	ms.idxAt = growN(ms.idxAt, L)
@@ -841,7 +764,7 @@ func (a *Analyzer) buildAll(i int) {
 	ms.crow = growN(ms.crow, L)
 	for j := 0; j < n; j++ {
 		mk := ms.minKi[j]
-		if mk < 0 || need>>uint(mk) == 0 {
+		if mk < 0 || int(mk) >= maxNeed {
 			continue
 		}
 		fj := fs.Flows[j]
@@ -850,21 +773,24 @@ func (a *Analyzer) buildAll(i int) {
 		for m := 0; m < L; m++ {
 			idxAt[m], maxAt[m], crow[m] = -1, 0, 0
 		}
+		// Bucket the nodes of Pj by their position on Pi: the first
+		// j-order hit, the maximum charge and the last-occurrence cost.
 		for k, d := range tp.dpath[j] {
 			ki := posI[d]
 			if ki < 0 {
 				continue
 			}
 			if idxAt[ki] < 0 {
-				idxAt[ki] = int32(k) // first occurrence in j order
+				idxAt[ki] = int32(k)
 			}
 			if c := costJ[k]; c > maxAt[ki] {
 				maxAt[ki] = c
 			}
-			crow[ki] = costJ[k] // last occurrence wins, like costOnView
+			crow[ki] = costJ[k]
 		}
-		// first_{i,j}: first node of Pi present on Pj (plen-independent
-		// once the prefix intersects — see pairScratch.build).
+		// first_{i,j}: first node of Pi present on Pj. It is
+		// plen-independent: whenever some shared node lies inside the
+		// prefix, the first hit is at or before it.
 		posJ := tp.pos[j]
 		var p0, fij int32 = -1, -1
 		for m, d := range dpi {
@@ -876,10 +802,14 @@ func (a *Analyzer) buildAll(i int) {
 		dP0 := dpi[p0]
 		jEntJ := int32(a.entryBase[j]) + fij
 		per := fj.Period
+		// Prefix combine: bucket p−1 activates at plen=p. jord is the
+		// minimum j-order among active buckets (first_{j,i} on Pj), its
+		// bucket index is first_{j,i} on Pi, and cs is the running
+		// maximum charge C^{slow_{j,i}}_j.
 		jord, fji := int32(-1), int32(-1)
 		var cs, jms model.Time
 		sd, jmsF := false, false
-		for p := int(mk) + 1; p <= L; p++ {
+		for p := int(mk) + 1; p <= maxNeed; p++ {
 			if k := idxAt[p-1]; k >= 0 {
 				if jord < 0 || k < jord {
 					jord, fji = k, int32(p-1)
@@ -891,21 +821,22 @@ func (a *Analyzer) buildAll(i int) {
 					cs = maxAt[p-1]
 				}
 			}
-			if need&(1<<uint(p-1)) == 0 {
+			vc := ms.vcs[p-1]
+			if vc == nil {
 				continue
 			}
-			vc := ms.vcs[p-1]
 			st := &ms.st[p-1]
-			// Identical per-view call order to buildView: M query before
-			// the same-direction absorb, reads in (iEnt, jEnt) order.
+			// M ranges over the same-direction interferers collected
+			// BEFORE j, so the query precedes the absorb below. A =
+			// (Jj − Smin_j(first_{j,i})) − M: OR-ing the inner SubSat's
+			// rail flag into vc.sat is order-independent (sticky flag).
 			m := st.mTermAt(lmin, int(p0), &vc.sat)
 			if jmsF {
 				vc.sat = true
 			}
-			iEnt := baseI + fji
 			x := ms.xs[p-1]
 			vc.jflow[x] = int32(j)
-			vc.iEnt[x] = iEnt
+			vc.iEnt[x] = baseI + fji
 			vc.jEnt[x] = jEntJ
 			vc.aConst[x] = model.SubSat(jms, m, &vc.sat)
 			vc.csj[x] = cs
@@ -913,32 +844,24 @@ func (a *Analyzer) buildAll(i int) {
 			vc.sameDir[x] = sd
 			ms.xs[p-1] = x + 1
 			st.addGroup(per, cs)
-			ms.addRead(p, st, iEnt)
-			ms.addRead(p, st, jEntJ)
 			if sd {
 				st.absorbSameDir(crow, p)
 			}
 		}
 	}
 
-	for p := 1; p <= L; p++ {
-		if need&(1<<uint(p-1)) == 0 {
+	ms.seen = growN(ms.seen, L)
+	for p := 1; p <= maxNeed; p++ {
+		vc := ms.vcs[p-1]
+		if vc == nil {
 			continue
 		}
-		vc := ms.vcs[p-1]
-		st := &ms.st[p-1]
-		vc.readIDs = arenaSlice(&ar.ints, len(st.reads))
-		copy(vc.readIDs, st.reads)
-		if err := a.finishView(vc, f.Path[:p], f.Cost[:p], st); err != nil {
-			ms.vcs[p-1] = nil
-			continue // left nil; the lazy path rediscovers the error
-		}
-		if p == L {
-			a.full[i] = vc
-		} else {
-			a.prefix[i][p] = vc
-		}
 		ms.vcs[p-1] = nil
+		ms.reads = vc.appendReads(ms.reads[:0], baseI, ms.seen)
+		vc.readIDs = arenaSlice(&ar.ints, len(ms.reads))
+		copy(vc.readIDs, ms.reads)
+		vc.err = a.finishView(vc, f.Path[:p], f.Cost[:p], &ms.st[p-1])
+		a.slot(i, p).vc = vc
 	}
 }
 

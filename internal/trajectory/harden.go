@@ -81,8 +81,10 @@ func bslowFixpoint(name string, opt Options, selfPeriod, selfSlow model.Time, pe
 //
 // Convergence, horizon and overflow checks therefore fire on identical
 // iterates in identical iterations, producing identical error strings
-// and EvBslow trace events.
-func bslowFixpointGrouped(name string, opt Options, selfPeriod, selfSlow model.Time, periods, charges, mults []model.Time) (model.Time, error) {
+// and iteration counts. The grouped solver does not trace: it returns
+// the count, and the engine emits the EvBslow event when it first hands
+// the view out (Analyzer.handOut).
+func bslowFixpointGrouped(name string, opt Options, selfPeriod, selfSlow model.Time, periods, charges, mults []model.Time) (model.Time, int, error) {
 	var sat bool
 	b := selfSlow
 	for g := range charges {
@@ -95,23 +97,20 @@ func bslowFixpointGrouped(name string, opt Options, selfPeriod, selfSlow model.T
 			nb = model.AddSat(nb, model.MulSat(model.MulSat(model.CeilDiv(b, periods[g]), charges[g], &sat), mults[g], &sat), &sat)
 		}
 		if sat || model.IsUnbounded(nb) {
-			return 0, model.Errorf(model.ErrOverflow,
+			return 0, 0, model.Errorf(model.ErrOverflow,
 				"trajectory: busy period of flow %q overflows the time domain", name)
 		}
 		if nb == b {
-			if tr := opt.Tracer; tr != nil {
-				tr.Emit(obs.Event{Type: obs.EvBslow, Flow: name, Iters: iter + 1, Value: b})
-			}
-			return b, nil
+			return b, iter + 1, nil
 		}
 		if nb > horizon {
-			return 0, model.Errorf(model.ErrUnstable,
+			return 0, 0, model.Errorf(model.ErrUnstable,
 				"trajectory: busy period of flow %q diverges past horizon %d (slowest-node utilization ≥ 1)",
 				name, horizon)
 		}
 		b = nb
 	}
-	return 0, model.Errorf(model.ErrUnstable,
+	return 0, 0, model.Errorf(model.ErrUnstable,
 		"trajectory: busy period of flow %q did not converge in %d iterations",
 		name, opt.maxIterations())
 }

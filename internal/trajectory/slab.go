@@ -148,237 +148,11 @@ func (tp *denseTopo) intersect(i, j int) bool {
 	return false
 }
 
-// denseRel is the dense counterpart of model.PathRelation for a prefix
-// view, reporting the anchors as path POSITIONS instead of node ids —
-// exactly the coordinates buildView consumes, so no PathIndex/SminAt
-// map lookup survives on the build path. Field-by-field it mirrors
-// FlowSet.PrefixRelation:
-//
-//	firstJIonI/firstJIonJ — position of first_{j,i} on Pi / on Pj
-//	firstIJonI/firstIJonJ — position of first_{i,j} on Pi / on Pj
-//	csj                   — C^{slow_{j,i}}_j over the prefix
-//	sameDir               — first_{j,i} == first_{i,j}
-//
-// TestDenseRelMatchesPrefixRelation pins the equivalence differentially.
-type denseRel struct {
-	intersects bool
-	sameDir    bool
-	csj        model.Time
-	firstJIonI int32
-	firstJIonJ int32
-	firstIJonI int32
-	firstIJonJ int32
-}
-
-// prefixRel computes the relation of flow j against the prefix of flow
-// i's path of length plen, mirroring FlowSet.PrefixRelation's scan
-// order (Pj in j's traversal order for the j-side anchors, the prefix
-// in i's order for the i-side ones) so every anchor — including the
-// first-maximum slow-node tie-break — is bit-identical.
-func (tp *denseTopo) prefixRel(fs *model.FlowSet, i, plen, j int) denseRel {
-	var r denseRel
-	posI := tp.pos[i]
-	costJ := fs.Flows[j].Cost
-	var dFirstJI int32 = -1
-	for k, d := range tp.dpath[j] {
-		ki := posI[d]
-		if ki < 0 || int(ki) >= plen {
-			continue
-		}
-		if !r.intersects {
-			r.intersects = true
-			dFirstJI = d
-			r.firstJIonJ = int32(k)
-			r.firstJIonI = ki
-			r.csj = costJ[k]
-		} else if costJ[k] > r.csj {
-			r.csj = costJ[k]
-		}
-	}
-	if !r.intersects {
-		return r
-	}
-	posJ := tp.pos[j]
-	for k, d := range tp.dpath[i][:plen] {
-		if kj := posJ[d]; kj >= 0 {
-			r.firstIJonI = int32(k)
-			r.firstIJonJ = kj
-			r.sameDir = d == dFirstJI
-			break
-		}
-	}
-	return r
-}
-
-// costOnView returns C of flow j at the m-th node of flow i's path (0
-// when j does not visit it) — the dense replacement for CostOf on the
-// M-term and slow-node scans.
-func (tp *denseTopo) costOnView(fs *model.FlowSet, j, i, m int) model.Time {
-	if p := tp.pos[j][tp.dpath[i][m]]; p >= 0 {
-		return fs.Flows[j].Cost[p]
-	}
-	return 0
-}
-
-// pairScratch caches, for ONE flow i, the prefix relations of every
-// other flow against ALL prefix lengths of Pi at once. buildView is
-// called for every prefix length of a flow back to back (the fixpoint
-// slot list and the full-view loop both iterate per flow), and
-// prefixRel rescans Pj from scratch at each length — the dominant cost
-// of cold view construction after the dense topology landed. One pass
-// per pair instead fills per-plen columns: the j-side anchors are
-// prefix combines over "which i-position does this j-node hit" buckets,
-// and the i-side anchors are plen-independent once the pair intersects
-// (the first prefix node on Pj is the first full-path node on Pj
-// whenever any shared node lies inside the prefix). Every column is the
-// value prefixRel would compute — TestDenseRelMatchesPrefixRelation
-// pins all three (pair cache, prefixRel, FlowSet.PrefixRelation)
-// against each other.
-//
-// The cache is keyed by (topo pointer, flow): every mutation installs a
-// fresh topo object (or nils it for a lazy rebuild), so a stale hit is
-// impossible, and undo restores re-validate because they restore the
-// old topo pointer together with the old flow set.
-type pairScratch struct {
-	tp     *denseTopo
-	flow   int
-	stride int // len(Pi)+1: per-plen column count, plen indexes directly
-
-	p0   []int32 // [j] first_{i,j} position on Pi; -1 when disjoint or j==flow
-	fijJ []int32 // [j] first_{i,j} position on Pj
-
-	jordPre []int32      // [j*stride+p] first_{j,i} position on Pj for plen=p; -1 before intersection
-	fjiIPre []int32      // [j*stride+p] first_{j,i} position on Pi for plen=p
-	csjPre  []model.Time // [j*stride+p] C^{slow_{j,i}}_j over the plen=p prefix
-	sdPre   []bool       // [j*stride+p] sameDir for plen=p
-
-	// jmsPre[j*stride+p] is Jj − Smin_j(first_{j,i}) — the plen-dependent
-	// half of the A constant, precomputed so buildView folds only the
-	// per-view M term. jmsSat records whether that SubSat railed; OR-ing
-	// it into the view's sticky flag is equivalent to computing the inner
-	// SubSat against the view flag directly (the flag is a sticky OR of
-	// rail events, independent of evaluation order). perJ[j] is flow j's
-	// period, saving the Flows[j] pointer chase on the view fill.
-	jmsPre []model.Time
-	jmsSat []bool
-	perJ   []model.Time
-
-	// costOn[j*L+m] is C_j at Pi[m] (0 = absent; costs are validated
-	// strictly positive, so 0 is an unambiguous sentinel) — the
-	// same-direction absorb reads this row linearly instead of chasing
-	// pos/dpath indirections per node.
-	costOn []model.Time
-
-	idxAt []int32      // temp: min j-order hitting each i-position
-	maxAt []model.Time // temp: max C_j over j-nodes hitting each i-position
-}
-
 func growN[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// build fills the scratch for flow i. O(Σj |Pj| + n·|Pi|) — amortized
-// O(|Pj|/|Pi| + 1) per (plen, j) query where prefixRel pays
-// O(|Pj| + plen) for each.
-func (ps *pairScratch) build(fs *model.FlowSet, tp *denseTopo, i int) {
-	dpi := tp.dpath[i]
-	L := len(dpi)
-	stride := L + 1
-	n := len(tp.dpath)
-	ps.tp, ps.flow, ps.stride = tp, i, stride
-	ps.p0 = growN(ps.p0, n)
-	ps.fijJ = growN(ps.fijJ, n)
-	ps.jordPre = growN(ps.jordPre, n*stride)
-	ps.fjiIPre = growN(ps.fjiIPre, n*stride)
-	ps.csjPre = growN(ps.csjPre, n*stride)
-	ps.sdPre = growN(ps.sdPre, n*stride)
-	ps.jmsPre = growN(ps.jmsPre, n*stride)
-	ps.jmsSat = growN(ps.jmsSat, n*stride)
-	ps.perJ = growN(ps.perJ, n)
-	ps.costOn = growN(ps.costOn, n*L)
-	ps.idxAt = growN(ps.idxAt, L)
-	ps.maxAt = growN(ps.maxAt, L)
-	posI := tp.pos[i]
-	for j := 0; j < n; j++ {
-		if j == i {
-			ps.p0[j] = -1
-			continue
-		}
-		idxAt, maxAt := ps.idxAt[:L], ps.maxAt[:L]
-		for m := 0; m < L; m++ {
-			idxAt[m], maxAt[m] = -1, 0
-		}
-		crow := ps.costOn[j*L : j*L+L]
-		for m := range crow {
-			crow[m] = 0
-		}
-		fj := fs.Flows[j]
-		costJ := fj.Cost
-		hit := false
-		for k, d := range tp.dpath[j] {
-			ki := posI[d]
-			if ki < 0 {
-				continue
-			}
-			hit = true
-			if idxAt[ki] < 0 {
-				idxAt[ki] = int32(k) // first occurrence in j order, like prefixRel's scan
-			}
-			if c := costJ[k]; c > maxAt[ki] {
-				maxAt[ki] = c
-			}
-			crow[ki] = costJ[k] // last occurrence wins — costOnView uses pos[j][d]
-		}
-		if !hit {
-			ps.p0[j] = -1
-			continue
-		}
-		// first_{i,j}: first node of Pi (in i order) present on Pj. The
-		// value is plen-independent: whenever some shared node has
-		// i-position < plen, the first hit is at or before it.
-		posJ := tp.pos[j]
-		var p0 int32 = -1
-		for m, d := range dpi {
-			if posJ[d] >= 0 {
-				p0 = int32(m)
-				ps.fijJ[j] = posJ[d]
-				break
-			}
-		}
-		ps.p0[j] = p0
-		ps.perJ[j] = fj.Period
-		dP0 := dpi[p0]
-		// Prefix combine: bucket p−1 activates at plen=p. jord is the
-		// minimum j-order among active buckets (= the first j-scan hit),
-		// its bucket index is its position on Pi, and csj is the running
-		// max charge — exactly prefixRel's anchors at every plen.
-		base := j * stride
-		jord, fji := int32(-1), int32(-1)
-		var cs, jms model.Time
-		sd, jmsF := false, false
-		for p := 1; p <= L; p++ {
-			if k := idxAt[p-1]; k >= 0 {
-				if jord < 0 || k < jord {
-					jord, fji = k, int32(p-1)
-					sd = tp.dpath[j][k] == dP0
-					jmsF = false
-					jms = model.SubSat(fj.Jitter, fs.SminAt(j, int(k)), &jmsF)
-				}
-				if maxAt[p-1] > cs {
-					cs = maxAt[p-1]
-				}
-			}
-			ps.jordPre[base+p] = jord
-			ps.fjiIPre[base+p] = fji
-			ps.csjPre[base+p] = cs
-			ps.sdPre[base+p] = sd
-			ps.jmsPre[base+p] = jms
-			ps.jmsSat[base+p] = jmsF
-		}
-	}
 }
 
 // slabArena hands out exact-size slices carved from chunked backing
@@ -448,11 +222,10 @@ func newSmaxTableFlat(fs *model.FlowSet) (smaxTable, []model.Time) {
 	return t, flat
 }
 
-// buildScratch is the per-Analyzer working state of view construction:
-// the incremental M-term/slow-node per-node extrema, the busy-period
-// term groups, and the epoch-marked entry-id dedup of the read sets.
-// Reused across every buildView call, so steady-state churn builds
-// allocate only the arena-carved result slices.
+// buildScratch is one view's build state inside buildAll: the
+// incremental M-term/slow-node per-node extrema and the busy-period
+// term groups. The states are reused across builds, so steady-state
+// churn allocates only the arena-carved result slices.
 type buildScratch struct {
 	// gPer/gChg/gMul stage the busy-period terms grouped by identical
 	// (period, charge) pairs for bslowFixpointGrouped.
@@ -475,50 +248,14 @@ type buildScratch struct {
 	mPre   []model.Time
 	mSat   []bool
 	mDirty bool
-
-	// marks/markEpoch implement O(1) entry-id dedup for the read sets;
-	// reads stages the deduped ids in first-occurrence order.
-	marks     []int32
-	markEpoch int32
-	reads     []int32
 }
 
-// reset prepares the scratch for one view build: group and read staging
-// emptied, the per-node extrema seeded with the view's own costs, and a
-// fresh dedup epoch opened.
-func (sc *buildScratch) reset(nEntries, plen int, cost []model.Time) {
+// reset prepares the state for one view build: groups emptied and the
+// per-node extrema seeded with the view's own costs.
+func (sc *buildScratch) reset(plen int, cost []model.Time) {
 	sc.gPer = sc.gPer[:0]
 	sc.gChg = sc.gChg[:0]
 	sc.gMul = sc.gMul[:0]
-	sc.reads = sc.reads[:0]
-
-	sc.minSD = growTimes(sc.minSD, plen)
-	sc.maxSD = growTimes(sc.maxSD, plen)
-	sc.mPre = growTimes(sc.mPre, plen)
-	if cap(sc.mSat) < plen {
-		sc.mSat = make([]bool, plen)
-	}
-	sc.mSat = sc.mSat[:plen]
-	copy(sc.minSD, cost)
-	copy(sc.maxSD, cost)
-	sc.mDirty = true
-
-	if len(sc.marks) < nEntries {
-		sc.marks = make([]int32, nEntries)
-		sc.markEpoch = 0
-	}
-	sc.markEpoch++
-}
-
-// resetLite is reset without touching the marks/epoch dedup state —
-// the fused all-prefix builder (buildAll) dedups read sets through the
-// multiScratch bitmask instead, one bit per prefix length, because its
-// per-view read sets interleave within a single sweep.
-func (sc *buildScratch) resetLite(plen int, cost []model.Time) {
-	sc.gPer = sc.gPer[:0]
-	sc.gChg = sc.gChg[:0]
-	sc.gMul = sc.gMul[:0]
-	sc.reads = sc.reads[:0]
 
 	sc.minSD = growTimes(sc.minSD, plen)
 	sc.maxSD = growTimes(sc.maxSD, plen)
@@ -532,13 +269,11 @@ func (sc *buildScratch) resetLite(plen int, cost []model.Time) {
 	sc.mDirty = true
 }
 
-// multiScratch is the working state of the fused all-prefix view
-// builder (Analyzer.buildAll): one interferer sweep fills EVERY prefix
-// view of a flow at once, so the per-pair anchors (first-crossing
-// positions, running charge maxima, jitter-minus-Smin offsets) are
-// computed exactly once per pair instead of once per (pair, plen) —
-// and never staged through per-column arrays, whose write+read traffic
-// dominated cold construction.
+// multiScratch is the working state of the all-prefix view builder
+// (Analyzer.buildAll): one interferer sweep fills EVERY missing view of
+// a flow at once, so the per-pair anchors (first-crossing positions,
+// running charge maxima, jitter-minus-Smin offsets) are computed
+// exactly once per pair instead of once per (pair, plen).
 //
 //   - minKi[j] is the activation index of interferer j: j appears in
 //     the plen-p view iff p > minKi[j] (the smallest i-position shared
@@ -546,15 +281,12 @@ func (sc *buildScratch) resetLite(plen int, cost []model.Time) {
 //     interferers activating at m, so per-view interferer counts are
 //     prefix sums — the SoA arrays carve at exact size before the fill.
 //   - st[p-1] is the plen-p view's private build state (M-term extrema,
-//     busy-period groups, read staging): the fused sweep advances every
-//     view's state in the same ascending-j order buildView uses, so
-//     each per-view sequence of mTermAt/absorb/addGroup/addRead calls
-//     is identical to a standalone build of that view.
-//   - mEpoch/mBits dedup the interleaved read sets: one epoch per
-//     sweep, one bit per prefix length (hence the len(Path) ≤ 64 gate;
-//     longer paths take the lazy per-view path).
-//   - idxAt/maxAt/crow are the per-pair buckets of pairScratch.build;
-//     crow doubles as the same-direction absorb row.
+//     busy-period groups): the sweep advances every view's state in
+//     ascending-j order, so each per-view sequence of
+//     mTermAt/absorb/addGroup calls is that of a standalone build.
+//   - idxAt/maxAt/crow bucket one interferer's nodes by their position
+//     on Pi; crow doubles as the same-direction absorb row.
+//   - seen/reads dedup and stage one view's read set (appendReads).
 type multiScratch struct {
 	minKi []int32
 	hist  []int32
@@ -566,58 +298,14 @@ type multiScratch struct {
 	maxAt []model.Time
 	crow  []model.Time
 
-	mEpoch []int32
-	mBits  []uint64
-	epoch  int32
-}
-
-// addRead dedups entry id for the plen-p view and stages it on that
-// view's read list — first-occurrence order per view, like
-// buildScratch.addRead.
-func (ms *multiScratch) addRead(p int, st *buildScratch, id int32) {
-	if ms.mEpoch[id] != ms.epoch {
-		ms.mEpoch[id] = ms.epoch
-		ms.mBits[id] = 0
-	}
-	b := uint64(1) << uint(p-1)
-	if ms.mBits[id]&b == 0 {
-		ms.mBits[id] |= b
-		st.reads = append(st.reads, id)
-	}
-}
-
-// addRead records an Smax entry id in the staged read set, deduped in
-// O(1) via the epoch marks; insertion order (first occurrence) matches
-// the reference dedup's.
-func (sc *buildScratch) addRead(id int32) {
-	if sc.marks[id] == sc.markEpoch {
-		return
-	}
-	sc.marks[id] = sc.markEpoch
-	sc.reads = append(sc.reads, id)
-}
-
-// appendRead is addRead against a caller-owned destination slice — the
-// remap path rebuilds read sets in place. The marks array grows on
-// demand because remaps run against the post-mutation entry universe.
-func (sc *buildScratch) appendRead(ids []int32, id int32) []int32 {
-	if int(id) >= len(sc.marks) {
-		grown := make([]int32, int(id)+1)
-		copy(grown, sc.marks)
-		sc.marks = grown
-	}
-	if sc.marks[id] == sc.markEpoch {
-		return ids
-	}
-	sc.marks[id] = sc.markEpoch
-	return append(ids, id)
+	seen  []bool
+	reads []int32
 }
 
 // absorbSameDir folds one same-direction interferer's per-node costs
-// into the extrema, reading the pair cache's costOn row (cc = C_j at
-// the m-th view node, 0 when j does not visit it — identical to the
-// pos/dpath gather, and a 0 behaves exactly like an absent node under
-// both guards since costs are validated positive). The minSD guard
+// into the extrema, reading its crow row (cc = C_j at the m-th view
+// node, 0 when j does not visit it; costs are validated positive, so a
+// 0 behaves exactly like an absent node under both guards). The minSD guard
 // (cc > 0, strictly smaller) mirrors the reference mTerm's; maxSD takes
 // any strictly larger visiting cost, like the reference chooseSlow scan.
 func (sc *buildScratch) absorbSameDir(row []model.Time, plen int) {

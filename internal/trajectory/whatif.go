@@ -35,7 +35,10 @@ type WhatIfOutcome struct {
 // and view caches, and patches only what its own mutation touches. A
 // candidate's outcome is bit-identical to mutating a (copy of the) base
 // and calling Analyze — including warm-start behavior, so a converged
-// base makes every candidate a delta re-analysis.
+// base makes every candidate a delta re-analysis. Traced batches emit
+// each candidate's events as one block, in candidate order, so the
+// trace is the serial batch's at any parallelism (only the batch
+// event's Workers count differs).
 func (a *Analyzer) WhatIf(cands []Candidate) []WhatIfOutcome {
 	return a.WhatIfContext(context.Background(), cands)
 }
@@ -78,8 +81,17 @@ func (a *Analyzer) WhatIfContext(ctx context.Context, cands []Candidate) []WhatI
 	if tr != nil {
 		tr.Emit(obs.Event{Type: obs.EvWhatIfBatch, Candidates: len(cands), Workers: workers})
 	}
+	// Concurrent forks buffer their events per candidate; the buffers
+	// are forwarded in candidate order once the batch is done.
+	var bufs []obs.Collector
+	if tr != nil && workers > 1 {
+		bufs = make([]obs.Collector, len(cands))
+	}
 	run := func(k int) {
 		f := a.fork()
+		if bufs != nil {
+			f.opt.Tracer = &bufs[k]
+		}
 		// Seed the fork's serial evaluation scratch from the shared pool:
 		// candidate analyses reuse grown buffers across the batch (and
 		// across batches) instead of each fork growing its own from zero.
@@ -108,12 +120,12 @@ func (a *Analyzer) WhatIfContext(ctx context.Context, cands []Candidate) []WhatI
 		}
 		*psc = f.scratch
 		scratchPool.Put(psc)
-		if tr != nil {
+		if ftr := f.opt.Tracer; ftr != nil {
 			outcome := "ok"
 			if out[k].Err != nil {
 				outcome = "err"
 			}
-			tr.Emit(obs.Event{Type: obs.EvWhatIfCand, Index: k + 1, Op: op, Outcome: outcome})
+			ftr.Emit(obs.Event{Type: obs.EvWhatIfCand, Index: k + 1, Op: op, Outcome: outcome})
 		}
 	}
 	if workers <= 1 {
@@ -138,6 +150,11 @@ func (a *Analyzer) WhatIfContext(ctx context.Context, cands []Candidate) []WhatI
 		}()
 	}
 	wg.Wait()
+	for k := range bufs {
+		for _, e := range bufs[k].Events() {
+			tr.Emit(e)
+		}
+	}
 	return out
 }
 
@@ -171,11 +188,11 @@ func (a *Analyzer) fork() *Analyzer {
 		pendingDirty: a.pendingDirty,
 	}
 	f.opt.Parallelism = 1
-	f.full = append([]*viewCache(nil), a.full...)
-	f.prefix = make([][]*viewCache, len(a.prefix))
+	f.full = append([]viewSlot(nil), a.full...)
+	f.prefix = make([][]viewSlot, len(a.prefix))
 	for i, row := range a.prefix {
 		if row != nil {
-			f.prefix[i] = append([]*viewCache(nil), row...)
+			f.prefix[i] = append([]viewSlot(nil), row...)
 		}
 	}
 	return f

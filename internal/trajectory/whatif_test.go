@@ -1,13 +1,16 @@
 package trajectory
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"trajan/internal/model"
+	"trajan/internal/obs"
 )
 
 // coldCandidateOutcome computes what a candidate's outcome must be:
@@ -70,9 +73,9 @@ func TestWhatIfMatchesColdPerCandidate(t *testing.T) {
 			{Add: candidateFlow(rng, base, "wi-add-2")},
 			{Update: candidateFlow(rng, base, "wi-upd"), Index: rng.Intn(base.N())},
 			{Remove: true, Index: rng.Intn(base.N())},
-			{Add: base.Flows[0]},                 // duplicate name: must error
-			{Remove: true, Index: base.N() + 7},  // out of range: must error
-			{},                                   // no mutation: must error
+			{Add: base.Flows[0]},                // duplicate name: must error
+			{Remove: true, Index: base.N() + 7}, // out of range: must error
+			{},                                  // no mutation: must error
 			{Update: candidateFlow(rng, base, "wi-upd-2"), Index: 0},
 		}
 		if base.N() > 1 {
@@ -148,5 +151,58 @@ func TestWhatIfEmptyAndCanceled(t *testing.T) {
 	// The analyzer is still usable afterwards.
 	if _, err := a.Analyze(); err != nil {
 		t.Fatalf("base unusable after canceled WhatIf: %v", err)
+	}
+}
+
+// TestWhatIfTraceDeterminism extends the byte-identity property to
+// traced WhatIf batches: forks evaluate candidates concurrently, yet
+// each candidate's events must arrive as one block, in candidate order.
+// The log of a converge-then-probe lifecycle is byte-identical across
+// GOMAXPROCS at each worker count, and equals the serial (Parallelism
+// 1) log byte for byte once the whatif.batch header's declared worker
+// count — configuration, the one field that names the parallelism — is
+// rewritten to 1. Each grid point runs several times, since a
+// scheduling-dependent order may need more than one try to show.
+func TestWhatIfTraceDeterminism(t *testing.T) {
+	header := regexp.MustCompile(`("type":"whatif\.batch".*"workers":)\d+`)
+	for si, fs := range determinismSets(t) {
+		rng := rand.New(rand.NewSource(int64(900 + si)))
+		cands := []Candidate{
+			{Add: candidateFlow(rng, fs, "wt-add-1")},
+			{Update: candidateFlow(rng, fs, fs.Flows[0].Name), Index: 0},
+			{Remove: true, Index: fs.N() - 1},
+			{Add: candidateFlow(rng, fs, "wt-add-2")},
+			{Add: fs.Flows[1]}, // duplicate name: errors
+		}
+		refLogs := map[int][]byte{}
+		schedulerGrid(t, func(t *testing.T, procs, workers int) {
+			for rep := 0; rep < 3; rep++ {
+				var buf bytes.Buffer
+				a, err := NewAnalyzer(fs, Options{
+					Parallelism: workers, Tracer: obs.NewJSONTracer(&buf),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := a.Bounds(); err != nil {
+					t.Fatal(err)
+				}
+				a.WhatIf(cands)
+				ref, ok := refLogs[workers]
+				if !ok {
+					refLogs[workers] = buf.Bytes()
+					if serial := refLogs[1]; workers != 1 &&
+						!bytes.Equal(header.ReplaceAll(buf.Bytes(), []byte("${1}1")), serial) {
+						t.Fatalf("set %d workers %d: WhatIf trace differs from the serial log beyond the batch header",
+							si, workers)
+					}
+					continue
+				}
+				if !bytes.Equal(buf.Bytes(), ref) {
+					t.Fatalf("set %d procs %d workers %d rep %d: WhatIf trace diverges (%d vs %d bytes)",
+						si, procs, workers, rep, buf.Len(), len(ref))
+				}
+			}
+		})
 	}
 }

@@ -486,12 +486,13 @@ type churnEvent struct {
 	Flow *model.FlowConfig `json:"flow,omitempty"`
 }
 
-// runAdmit replays a churn trace through one warm analyzer: every add
-// is an admission test (delta re-analysis, revert on refusal), removes
-// and updates mutate the engine in place. The exit verdict reports
-// whether the final admitted set meets all deadlines. A non-nil topo
-// turns on route=auto admission: each add is re-routed onto the best
-// feasible of its routeK shortest candidate paths before the commit.
+// runAdmit replays a churn trace through one feasibility.Session: every
+// add is an admission test (delta re-analysis, undone on refusal),
+// updates and removes commit unconditionally and report the verdict.
+// The exit verdict reports whether the final admitted set meets all
+// deadlines. A non-nil topo turns on route=auto admission: each add is
+// re-routed onto the best feasible of its routeK shortest candidate
+// paths before the commit.
 func runAdmit(ctx context.Context, path string, opt trajectory.Options, topo *model.Topology, routeK int, out io.Writer) (bool, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -504,60 +505,14 @@ func runAdmit(ctx context.Context, path string, opt trajectory.Options, topo *mo
 		return false, model.Errorf(model.ErrInvalidConfig, "admit: decoding trace: %w", err)
 	}
 	net := model.Network{Lmin: trace.Network.Lmin, Lmax: trace.Network.Lmax}
+	sess, err := feasibility.NewSession(net, opt, feasibility.BackendTrajectory, nil)
+	if err != nil {
+		return false, err
+	}
 
 	tab := report.NewTable("Admission trace replay (trajectory, warm re-analysis)",
 		"#", "op", "flow", "decision", "flows", "min slack")
-
-	var a *trajectory.Analyzer
 	allFeasible := true
-
-	// verdict re-analyses the current set; it reports feasibility and
-	// the tightest deadline slack (TimeInfinity when no flow has one).
-	verdict := func() (bool, model.Time, error) {
-		if a == nil {
-			return true, model.TimeInfinity, nil
-		}
-		bounds, err := a.BoundsContext(ctx)
-		if err != nil {
-			return false, 0, err
-		}
-		ok, minSlack := true, model.TimeInfinity
-		for i, f := range a.FlowSet().Flows {
-			if f.Deadline <= 0 {
-				continue
-			}
-			var sat bool
-			if s := model.SubSat(f.Deadline, bounds[i], &sat); s < minSlack {
-				minSlack = s
-			}
-			if bounds[i] > f.Deadline {
-				ok = false
-			}
-		}
-		return ok, minSlack, nil
-	}
-	// refusal decides whether an analysis error means "candidate
-	// refused" (divergence/overflow) or a real failure.
-	refusal := func(err error) bool {
-		return errors.Is(err, model.ErrUnstable) || errors.Is(err, model.ErrOverflow)
-	}
-	findFlow := func(name string) int {
-		if a == nil {
-			return -1
-		}
-		for i, f := range a.FlowSet().Flows {
-			if f.Name == name {
-				return i
-			}
-		}
-		return -1
-	}
-	slackStr := func(s model.Time) string {
-		if s >= model.TimeInfinity {
-			return "-"
-		}
-		return fmt.Sprintf("%d", s)
-	}
 	emitDecision := func(flow, outcome string) {
 		if tr := opt.Tracer; tr != nil {
 			tr.Emit(obs.Event{Type: obs.EvAdmission, Flow: flow, Op: "churn", Outcome: outcome})
@@ -565,135 +520,68 @@ func runAdmit(ctx context.Context, path string, opt trajectory.Options, topo *mo
 	}
 
 	for k, ev := range trace.Events {
+		var f *model.Flow
+		name := ev.Name
+		if ev.Op == "add" || ev.Op == "update" {
+			if ev.Flow == nil {
+				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %s needs a flow", k, ev.Op)
+			}
+			if f, err = ev.Flow.Build(); err != nil {
+				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, err)
+			}
+			name = f.Name
+		}
+		var d feasibility.Decision
 		switch ev.Op {
 		case "add":
-			if ev.Flow == nil {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: add needs a flow", k)
-			}
-			f, err := ev.Flow.Build()
-			if err != nil {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, err)
-			}
 			if topo != nil {
-				// route=auto: enumerate candidate paths, score them all as
-				// one parallel what-if batch (cold against the empty set),
-				// and commit the best feasible one through the ordinary add
-				// below; refusals leave the set untouched.
-				cfs, err := feasibility.RouteCandidates(topo, f, routeK)
+				// route=auto: score every candidate path as one parallel
+				// what-if batch and commit the best feasible one through the
+				// ordinary admission below; refusals leave the set untouched.
+				cands, win, err := sess.Routes(ctx, topo, f, routeK, false)
 				if err != nil {
 					return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, err)
 				}
-				var scored []feasibility.RouteCandidate
-				if a == nil {
-					scored = feasibility.ScoreRoutesCold(ctx, net, opt, nil, cfs)
-				} else {
-					scored = feasibility.ScoreRoutesWhatIf(ctx, a, cfs, -1)
-				}
-				win := feasibility.ChooseRoute(scored)
 				if win < 0 {
-					emitDecision(f.Name, "rejected (no feasible route)")
-					tab.AddRow(k, "add", f.Name, "rejected (no feasible route)", flowCount(a), "-")
+					emitDecision(name, "rejected (no feasible route)")
+					tab.AddRow(k, "add", name, "rejected (no feasible route)", len(sess.Flows()), "-")
 					continue
 				}
-				f = scored[win].Flow
+				f = cands[win].Flow
 			}
-			var idx int
-			if a == nil {
-				fs, err := model.NewFlowSet(net, []*model.Flow{f})
-				if err != nil {
-					return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, err)
-				}
-				a, err = trajectory.NewAnalyzer(fs, opt)
-				if err != nil {
-					return false, err
-				}
-				idx = 0
-			} else {
-				idx, err = a.AddFlow(f)
-				if err != nil {
-					return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, err)
-				}
-			}
-			ok, minSlack, err := verdict()
-			if err != nil && !refusal(err) {
-				return false, err
-			}
-			if err != nil || !ok {
-				// Refused: divergence or a deadline miss. Revert.
-				if a.FlowSet().N() == 1 {
-					a = nil
-				} else if rerr := a.RemoveFlow(idx); rerr != nil {
-					return false, rerr
-				}
-				reason := "rejected (deadline miss)"
-				if err != nil {
-					reason = "rejected (unstable)"
-				}
-				emitDecision(f.Name, reason)
-				tab.AddRow(k, "add", f.Name, reason, flowCount(a), slackStr(minSlack))
-				continue
-			}
-			allFeasible = ok
-			emitDecision(f.Name, "admitted")
-			tab.AddRow(k, "add", f.Name, "admitted", flowCount(a), slackStr(minSlack))
+			d, err = sess.Admit(ctx, f)
 		case "remove":
-			i := findFlow(ev.Name)
-			if i < 0 {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: unknown flow %q", k, ev.Name)
-			}
-			if a.FlowSet().N() == 1 {
-				a = nil
-			} else if err := a.RemoveFlow(i); err != nil {
-				return false, err
-			}
-			ok, minSlack, err := verdict()
-			if err != nil && !refusal(err) {
-				return false, err
-			}
-			allFeasible = err == nil && ok
-			tab.AddRow(k, "remove", ev.Name, "removed", flowCount(a), slackStr(minSlack))
+			d, err = sess.Release(ctx, ev.Name)
 		case "update":
-			if ev.Flow == nil {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: update needs a flow", k)
-			}
-			f, err := ev.Flow.Build()
-			if err != nil {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, err)
-			}
-			i := findFlow(f.Name)
-			if i < 0 {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: unknown flow %q", k, f.Name)
-			}
-			if err := a.UpdateFlow(i, f); err != nil {
-				return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: %w", k, err)
-			}
-			ok, minSlack, err := verdict()
-			if err != nil && !refusal(err) {
-				return false, err
-			}
-			allFeasible = err == nil && ok
-			decision := "updated"
-			if err != nil {
-				decision = "updated (unstable)"
-			} else if !ok {
-				decision = "updated (deadline miss)"
-			}
-			tab.AddRow(k, "update", f.Name, decision, flowCount(a), slackStr(minSlack))
+			d, err = sess.Update(ctx, f)
 		default:
 			return false, model.Errorf(model.ErrInvalidConfig, "admit: event %d: unknown op %q", k, ev.Op)
 		}
+		if err != nil {
+			return false, fmt.Errorf("admit: event %d: %w", k, err)
+		}
+		decision := map[string]string{"add": "admitted", "remove": "removed", "update": "updated"}[ev.Op]
+		if !d.Committed {
+			decision = "rejected (" + d.Reason + ")"
+		} else if ev.Op == "update" && d.Reason != "" {
+			decision += " (" + d.Reason + ")"
+		}
+		if ev.Op == "add" {
+			emitDecision(name, decision)
+		}
+		if d.Committed {
+			allFeasible = d.Reason == ""
+		}
+		slack := "-"
+		if d.MinSlack < model.TimeInfinity {
+			slack = fmt.Sprintf("%d", d.MinSlack)
+		}
+		tab.AddRow(k, ev.Op, name, decision, len(sess.Flows()), slack)
 	}
 	if err := tab.Render(out); err != nil {
 		return false, err
 	}
 	return allFeasible, nil
-}
-
-func flowCount(a *trajectory.Analyzer) int {
-	if a == nil {
-		return 0
-	}
-	return a.FlowSet().N()
 }
 
 // runTraceReport renders a -trace log as the bound-decomposition report.

@@ -250,19 +250,47 @@ func TestExitCodes(t *testing.T) {
 	})
 }
 
-// TestAdmitMode replays the churn trace fixture: admissions, a
-// deterministic rejection (the burst flow cannot meet deadline 8 even
-// alone), an update and a removal, with exit code 0 (final set
-// feasible).
+// TestAdmitMode replays churn-trace fixtures and compares stdout and
+// the exit code byte for byte with goldens recorded before the
+// admission rule moved into feasibility.Session:
+//
+//   - churn.json: admissions, a deterministic rejection (the burst flow
+//     cannot meet deadline 8 even alone), an update and a removal; the
+//     final set is feasible (exit 0).
+//   - route_churn.json on clos:2x4x1 with -route auto: flows b and f are
+//     admitted on their second candidate (re-routes), c, e, g and h are
+//     refused with "no feasible route" (infeasible, unstable, and a
+//     per-path Assumption-1 "invalid" candidate), and the last update
+//     leaves a deadline miss (exit 1).
 func TestAdmitMode(t *testing.T) {
-	out := runCLI(t, "-admit", filepath.Join("testdata", "churn.json"))
-	for _, want := range []string{
-		"admitted", "rejected", "updated", "removed",
-		"voice1", "greedy", "burst",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("admit output missing %q:\n%s", want, out)
-		}
+	cases := []struct {
+		name   string
+		args   []string
+		golden string
+		code   int
+	}{
+		{"churn", []string{"-admit", filepath.Join("testdata", "churn.json")}, "churn.golden", 0},
+		{"route-auto-clos", []string{"-admit", filepath.Join("testdata", "route_churn.json"),
+			"-route", "auto", "-topology", "clos:2x4x1"}, "route_churn.golden", 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			code, err := run(tc.args, &b)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if code != tc.code {
+				t.Errorf("exit code %d, want %d", code, tc.code)
+			}
+			if got := b.String(); got != string(want) {
+				t.Errorf("stdout differs from testdata/%s:\ngot:\n%s\nwant:\n%s", tc.golden, got, want)
+			}
+		})
 	}
 }
 
@@ -288,6 +316,28 @@ func TestAdmitModeErrors(t *testing.T) {
 		code, err := run([]string{"-admit", path}, &b)
 		if err == nil || code != 2 {
 			t.Errorf("%s: code %d, err %v; want code 2 with error", name, code, err)
+		}
+	}
+}
+
+// TestAdmitRouteAutoDuplicate: an add that reuses an admitted name is
+// the same configuration error (exit 2) with -route auto as without,
+// not a "no feasible route" refusal.
+func TestAdmitRouteAutoDuplicate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dup.json")
+	add := `{"op":"add","flow":{"name":"a","period":50,"deadline":40,"path":[1000,1100],"cost":2}}`
+	body := `{"network":{"lmin":1,"lmax":1},"events":[` + add + `,` + add + `]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-admit", path},
+		{"-admit", path, "-route", "auto", "-topology", "clos:2x2x1"},
+	} {
+		var b strings.Builder
+		code, err := run(args, &b)
+		if code != 2 || err == nil || !strings.Contains(err.Error(), `duplicate flow name "a"`) {
+			t.Errorf("%v: code %d, err %v; want code 2 with the duplicate-name error", args, code, err)
 		}
 	}
 }

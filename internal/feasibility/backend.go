@@ -161,7 +161,7 @@ func analyzeCombined(ctx context.Context, fs *model.FlowSet, opt trajectory.Opti
 		inner.Tracer = nil
 		res, err := analyzeOne(ctx, fs, b, inner)
 		if err != nil {
-			if errors.Is(err, model.ErrUnstable) || errors.Is(err, model.ErrOverflow) {
+			if IsRefusal(err) {
 				// This backend cannot certify any finite bound: it
 				// participates as an all-Unbounded candidate.
 				runs = append(runs, run{b, &BackendResult{

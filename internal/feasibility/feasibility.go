@@ -6,8 +6,10 @@
 package feasibility
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"trajan/internal/ef"
 	"trajan/internal/model"
@@ -49,31 +51,29 @@ func Check(fs *model.FlowSet, bounds, jitters []model.Time, method string) (*Rep
 	}
 	rep := &Report{Method: method, AllFeasible: true}
 	for i, f := range fs.Flows {
-		v := Verdict{
-			Flow:     i,
-			Name:     f.Name,
-			Bound:    bounds[i],
-			Deadline: f.Deadline,
-		}
+		var jitter model.Time
 		if jitters != nil {
-			v.Jitter = jitters[i]
+			jitter = jitters[i]
 		}
-		if f.Deadline > 0 {
-			// An Unbounded verdict (TimeInfinity) always misses any
-			// finite deadline; SubSat keeps the slack a well-defined
-			// saturated negative instead of a wrapped number.
-			var sat bool
-			v.Slack = model.SubSat(f.Deadline, bounds[i], &sat)
-			v.Feasible = bounds[i] <= f.Deadline
-		} else {
-			v.Feasible = true
-		}
-		if !v.Feasible {
-			rep.AllFeasible = false
-		}
-		rep.Verdicts = append(rep.Verdicts, v)
+		rep.add(i, f, bounds[i], jitter)
 	}
 	return rep, nil
+}
+
+// add appends flow i's verdict. An Unbounded bound (TimeInfinity)
+// always misses any finite deadline; SubSat keeps the slack a
+// well-defined saturated negative instead of a wrapped number.
+func (rep *Report) add(i int, f *model.Flow, bound, jitter model.Time) {
+	v := Verdict{Flow: i, Name: f.Name, Bound: bound, Deadline: f.Deadline, Jitter: jitter, Feasible: true}
+	if f.Deadline > 0 {
+		var sat bool
+		v.Slack = model.SubSat(f.Deadline, bound, &sat)
+		v.Feasible = bound <= f.Deadline
+	}
+	if !v.Feasible {
+		rep.AllFeasible = false
+	}
+	rep.Verdicts = append(rep.Verdicts, v)
 }
 
 // Controller is an incremental EF admission controller: it maintains
@@ -85,13 +85,10 @@ type Controller struct {
 	net      model.Network
 	opt      trajectory.Options
 	admitted []*model.Flow
-	// warm is the delta re-analysis engine over the admitted set, kept
-	// converged between admission tests so each candidate costs one
-	// AddFlow (dirty-closure re-sweep) instead of a cold rebuild. It is
-	// only usable when every admitted flow is EF (the non-preemption
-	// penalty δi is then identically zero) and is dropped whenever that
-	// cannot be guaranteed.
-	warm *trajectory.Analyzer
+	// warm is the admission Session over the admitted set while the warm
+	// engine can represent it (see warmable); nil otherwise, and rebuilt
+	// on the next warm decision.
+	warm *Session
 }
 
 // NewController starts a controller over an empty network. Background
@@ -107,62 +104,94 @@ func (c *Controller) Preload(flows ...*model.Flow) {
 	for _, f := range flows {
 		c.admitted = append(c.admitted, f.Clone())
 	}
-	c.warm = nil // background flows changed outside the warm engine
+	c.warm = nil // the set changed outside the warm engine
 }
 
 // Admitted returns the currently admitted flows.
 func (c *Controller) Admitted() []*model.Flow { return c.admitted }
 
 // emitDecision records one admission verdict on the configured tracer:
-// Op names the path taken (warm delta re-analysis vs cold rebuild),
-// Outcome starts with "admitted" or "rejected" (the metrics aggregation
-// keys on the first word).
+// Op names the path taken (warm Session vs cold rebuild), Outcome
+// starts with "admitted" or "rejected" (the metrics aggregation keys on
+// the first word).
 func (c *Controller) emitDecision(op, flow, outcome string) {
 	if tr := c.opt.Tracer; tr != nil {
 		tr.Emit(obs.Event{Type: obs.EvAdmission, Op: op, Flow: flow, Outcome: outcome})
 	}
 }
 
+// warmable reports whether the warm engine can represent trial: every
+// flow is EF, Assumption 1 holds without splitting and no per-flow
+// NonPreemption vectors are set. The EF analysis then reduces to the
+// plain trajectory analysis of the set (δi ≡ 0), which is what Session
+// decides on. Other sets take the cold ef.Analyze path.
+func (c *Controller) warmable(trial []*model.Flow) bool {
+	if c.opt.NonPreemption != nil {
+		return false
+	}
+	for _, g := range trial {
+		if g.Class != model.ClassEF {
+			return false
+		}
+	}
+	return len(model.CheckAssumption1(trial)) == 0
+}
+
+// decide runs one warm decision on trial through the Session, or the
+// cold path when the warm engine cannot represent trial.
+func (c *Controller) decide(trial []*model.Flow, name string, op func(*Session) (Decision, error)) (bool, *Report, error) {
+	if !c.warmable(trial) {
+		return c.tryCold(trial, name)
+	}
+	if c.warm == nil {
+		s, err := NewSession(c.net, c.opt, BackendTrajectory, c.admitted)
+		if err != nil {
+			return false, nil, err
+		}
+		c.warm = s
+	}
+	d, err := op(c.warm)
+	return c.settle(name, d, err)
+}
+
 // Release evicts an admitted flow by name. Removal can only shrink
 // interference, so no feasibility test is needed. It reports whether
 // the name matched an admitted flow.
 func (c *Controller) Release(name string) bool {
-	for i, g := range c.admitted {
-		if g.Name == name {
-			c.admitted = append(c.admitted[:i], c.admitted[i+1:]...)
-			c.warm = nil // the set changed outside the warm engine
-			c.emitDecision("cold", name, "released")
-			return true
+	if c.warm != nil {
+		// Any other error comes from the re-analysis after the removal
+		// committed; Release reports only whether the name matched.
+		if _, err := c.warm.Release(context.TODO(), name); errors.Is(err, ErrUnknownFlow) {
+			return false
 		}
+		c.admitted = append([]*model.Flow(nil), c.warm.Flows()...)
+		c.emitDecision("warm", name, "released")
+		return true
 	}
-	return false
+	i := indexOf(c.admitted, name)
+	if i < 0 {
+		return false
+	}
+	c.admitted = slices.Delete(c.admitted, i, i+1)
+	c.emitDecision("cold", name, "released")
+	return true
 }
 
 // TryRenegotiate replaces an admitted flow's contract (matched by
-// f.Name) and accepts only if the resulting set remains feasible; a
-// rejected renegotiation leaves the previous contract in force. The
-// returned report describes the hypothetical set either way, exactly
-// as TryAdmit does.
+// f.Name) in place and accepts only if the resulting set remains
+// feasible; a rejected renegotiation leaves the previous contract in
+// force. The returned report describes the hypothetical set either
+// way, exactly as TryAdmit does.
 func (c *Controller) TryRenegotiate(f *model.Flow) (bool, *Report, error) {
-	idx := -1
-	for i, g := range c.admitted {
-		if g.Name == f.Name {
-			idx = i
-			break
-		}
-	}
+	idx := indexOf(c.admitted, f.Name)
 	if idx < 0 {
 		return false, nil, model.Errorf(model.ErrInvalidConfig, "feasibility: renegotiate: unknown flow %q", f.Name)
 	}
-	old := c.admitted[idx]
-	c.admitted = append(c.admitted[:idx], c.admitted[idx+1:]...)
-	ok, rep, err := c.TryAdmit(f)
-	if !ok {
-		// Restore the previous contract at its original position.
-		c.admitted = append(c.admitted[:idx], append([]*model.Flow{old}, c.admitted[idx:]...)...)
-		c.warm = nil
-	}
-	return ok, rep, err
+	trial := append([]*model.Flow(nil), c.admitted...)
+	trial[idx] = f.Clone()
+	return c.decide(trial, f.Name, func(s *Session) (Decision, error) {
+		return s.Renegotiate(context.TODO(), trial[idx])
+	})
 }
 
 // TryAdmit tests the candidate flow against the current set. On
@@ -170,150 +199,72 @@ func (c *Controller) TryRenegotiate(f *model.Flow) (bool, *Report, error) {
 // on refusal the state is unchanged and the hypothetical report
 // explains which flow would have missed its deadline.
 func (c *Controller) TryAdmit(f *model.Flow) (bool, *Report, error) {
-	if ok, rep, err, handled := c.tryAdmitWarm(f); handled {
-		return ok, rep, err
-	}
 	trial := make([]*model.Flow, 0, len(c.admitted)+1)
-	for _, g := range c.admitted {
-		trial = append(trial, g.Clone())
-	}
-	trial = append(trial, f.Clone())
-	trial = model.EnforceAssumption1(trial)
-	fs, err := model.NewFlowSet(c.net, trial)
+	trial = append(append(trial, c.admitted...), f.Clone())
+	return c.decide(trial, f.Name, func(s *Session) (Decision, error) {
+		return s.Admit(context.TODO(), trial[len(trial)-1])
+	})
+}
+
+// settle turns a warm Session decision into the Controller's answer.
+// The report is exactly the one the cold path builds for the same set:
+// for an all-EF set every flow is an EF flow and ef.Analyze's bounds
+// and jitters are the plain trajectory ones.
+func (c *Controller) settle(name string, d Decision, err error) (bool, *Report, error) {
 	if err != nil {
-		return false, nil, model.Classify(model.ErrInvalidConfig, fmt.Errorf("feasibility: candidate %q: %w", f.Name, err))
+		return false, nil, fmt.Errorf("feasibility: candidate %q: %w", name, err)
+	}
+	if d.Reason == "unstable" {
+		c.emitDecision("warm", name, "rejected (unstable)")
+		return false, &Report{Method: "trajectory-ef", AllFeasible: false}, nil
+	}
+	rep, err := Check(d.Set, d.Bounds, jittersFor(d.Set, d.Bounds), "trajectory-ef")
+	if err != nil {
+		return false, nil, err
+	}
+	if !d.Committed {
+		c.emitDecision("warm", name, "rejected")
+		return false, rep, nil
+	}
+	c.admitted = append([]*model.Flow(nil), c.warm.Flows()...)
+	c.emitDecision("warm", name, "admitted")
+	return true, rep, nil
+}
+
+// tryCold decides trial — the admitted set with the candidate appended
+// or substituted — with the full EF pipeline: Assumption-1 splitting,
+// then ef.Analyze with the non-preemption penalty of the non-EF flows.
+// On acceptance trial (unsplit) becomes the admitted set.
+func (c *Controller) tryCold(trial []*model.Flow, name string) (bool, *Report, error) {
+	split := make([]*model.Flow, len(trial))
+	for i, g := range trial {
+		split[i] = g.Clone()
+	}
+	fs, err := model.NewFlowSet(c.net, model.EnforceAssumption1(split))
+	if err != nil {
+		return false, nil, model.Classify(model.ErrInvalidConfig, fmt.Errorf("feasibility: candidate %q: %w", name, err))
 	}
 	res, err := ef.Analyze(fs, c.opt)
 	if err != nil {
 		// Analysis divergence or overflow (overload) is a refusal, not a
 		// failure; anything else — bad config, cancellation, an internal
 		// panic — propagates to the caller.
-		if errors.Is(err, model.ErrUnstable) || errors.Is(err, model.ErrOverflow) {
-			c.emitDecision("cold", f.Name, "rejected (unstable)")
+		if IsRefusal(err) {
+			c.emitDecision("cold", name, "rejected (unstable)")
 			return false, &Report{Method: "trajectory-ef", AllFeasible: false}, nil
 		}
 		return false, nil, err
 	}
 	rep := &Report{Method: "trajectory-ef", AllFeasible: true}
 	for k, idx := range res.EFIndex {
-		fl := fs.Flows[idx]
-		v := Verdict{
-			Flow:     idx,
-			Name:     fl.Name,
-			Bound:    res.Trajectory.Bounds[k],
-			Deadline: fl.Deadline,
-			Jitter:   res.Trajectory.Jitters[k],
-		}
-		if fl.Deadline > 0 {
-			var sat bool
-			v.Slack = model.SubSat(fl.Deadline, v.Bound, &sat)
-			v.Feasible = v.Bound <= fl.Deadline
-		} else {
-			v.Feasible = true
-		}
-		if !v.Feasible {
-			rep.AllFeasible = false
-		}
-		rep.Verdicts = append(rep.Verdicts, v)
+		rep.add(idx, fs.Flows[idx], res.Trajectory.Bounds[k], res.Trajectory.Jitters[k])
 	}
 	if !rep.AllFeasible {
-		c.emitDecision("cold", f.Name, "rejected")
+		c.emitDecision("cold", name, "rejected")
 		return false, rep, nil
 	}
-	c.admitted = append(c.admitted, f.Clone())
-	c.warm = nil // the cold path mutated the set behind the warm engine
-	c.emitDecision("cold", f.Name, "admitted")
+	c.admitted = trial
+	c.warm = nil // the set changed behind the warm engine
+	c.emitDecision("cold", name, "admitted")
 	return true, rep, nil
-}
-
-// tryAdmitWarm is the incremental admission fast path. It applies when
-// the whole set (admitted plus candidate) is pure EF, Assumption 1
-// already holds (no flow splitting needed) and no per-flow option
-// vectors are set: the EF analysis then reduces to the plain trajectory
-// analysis of the set (δi ≡ 0 for an all-EF set), so the candidate is
-// tested with one warm AddFlow on the persistent analyzer and reverted
-// with RemoveFlow on refusal — the converged Smax table carries over
-// between decisions. handled=false defers to the cold path. The warm
-// path skips the holistic comparison baseline the cold path computes;
-// the Report never contained it, and admission is decided by the
-// trajectory bounds alone.
-func (c *Controller) tryAdmitWarm(f *model.Flow) (ok bool, rep *Report, err error, handled bool) {
-	if c.opt.NonPreemption != nil || f.Class != model.ClassEF || len(c.admitted) == 0 {
-		return
-	}
-	for _, g := range c.admitted {
-		if g.Class != model.ClassEF {
-			return
-		}
-	}
-	trial := make([]*model.Flow, 0, len(c.admitted)+1)
-	trial = append(trial, c.admitted...)
-	trial = append(trial, f)
-	if len(model.CheckAssumption1(trial)) != 0 {
-		return // EnforceAssumption1 would split flows: cold path
-	}
-	if c.warm == nil || c.warm.FlowSet().N() != len(c.admitted) {
-		base := make([]*model.Flow, len(c.admitted))
-		for k, g := range c.admitted {
-			base[k] = g.Clone()
-		}
-		fs, ferr := model.NewFlowSet(c.net, base)
-		if ferr != nil {
-			return // let the cold path produce its usual error
-		}
-		a, aerr := trajectory.NewAnalyzer(fs, c.opt)
-		if aerr != nil {
-			return
-		}
-		c.warm = a
-	}
-	idx, aerr := c.warm.AddFlow(f.Clone())
-	if aerr != nil {
-		// Same validation NewFlowSet runs, same wrapping as the cold path.
-		return false, nil, model.Classify(model.ErrInvalidConfig,
-			fmt.Errorf("feasibility: candidate %q: %w", f.Name, aerr)), true
-	}
-	revert := func() {
-		if rerr := c.warm.RemoveFlow(idx); rerr != nil {
-			c.warm = nil // unusable state: rebuild cold next time
-		}
-	}
-	res, aerr := c.warm.Analyze()
-	if aerr != nil {
-		revert()
-		if errors.Is(aerr, model.ErrUnstable) || errors.Is(aerr, model.ErrOverflow) {
-			c.emitDecision("warm", f.Name, "rejected (unstable)")
-			return false, &Report{Method: "trajectory-ef", AllFeasible: false}, nil, true
-		}
-		return false, nil, aerr, true
-	}
-	rep = &Report{Method: "trajectory-ef", AllFeasible: true}
-	for i, fl := range c.warm.FlowSet().Flows {
-		v := Verdict{
-			Flow:     i,
-			Name:     fl.Name,
-			Bound:    res.Bounds[i],
-			Deadline: fl.Deadline,
-			Jitter:   res.Jitters[i],
-		}
-		if fl.Deadline > 0 {
-			var sat bool
-			v.Slack = model.SubSat(fl.Deadline, v.Bound, &sat)
-			v.Feasible = v.Bound <= fl.Deadline
-		} else {
-			v.Feasible = true
-		}
-		if !v.Feasible {
-			rep.AllFeasible = false
-		}
-		rep.Verdicts = append(rep.Verdicts, v)
-	}
-	if !rep.AllFeasible {
-		revert()
-		c.emitDecision("warm", f.Name, "rejected")
-		return false, rep, nil, true
-	}
-	c.admitted = append(c.admitted, f.Clone())
-	c.emitDecision("warm", f.Name, "admitted")
-	return true, rep, nil, true
 }

@@ -189,11 +189,17 @@ func TestControllerSplitsForAssumption1(t *testing.T) {
 func coldAdmitOracle(t *testing.T, net model.Network, opt trajectory.Options,
 	admitted []*model.Flow, f *model.Flow) (bool, *Report) {
 	t.Helper()
-	trial := make([]*model.Flow, 0, len(admitted)+1)
-	for _, g := range admitted {
+	return coldSetOracle(t, net, opt, append(append([]*model.Flow(nil), admitted...), f))
+}
+
+// coldSetOracle decides a whole hypothetical set cold: it is admissible
+// iff the EF pipeline succeeds and every deadline holds.
+func coldSetOracle(t *testing.T, net model.Network, opt trajectory.Options, flows []*model.Flow) (bool, *Report) {
+	t.Helper()
+	trial := make([]*model.Flow, 0, len(flows))
+	for _, g := range flows {
 		trial = append(trial, g.Clone())
 	}
-	trial = append(trial, f.Clone())
 	trial = model.EnforceAssumption1(trial)
 	fs, err := model.NewFlowSet(net, trial)
 	if err != nil {

@@ -89,7 +89,7 @@ func ClassifyRouteOutcome(err error, allFeasible bool) string {
 		return "feasible"
 	case err == nil:
 		return "infeasible"
-	case errors.Is(err, model.ErrUnstable) || errors.Is(err, model.ErrOverflow):
+	case IsRefusal(err):
 		return "unstable"
 	case errors.Is(err, model.ErrInvalidConfig):
 		return "invalid"
@@ -154,19 +154,15 @@ func ScoreRoutesCold(ctx context.Context, net model.Network, opt trajectory.Opti
 		trial = append(trial, cf)
 		fs, err := model.NewFlowSet(net, trial)
 		if err != nil {
-			out[i].Err = model.Classify(model.ErrInvalidConfig, err)
-			out[i].Outcome = ClassifyRouteOutcome(out[i].Err, false)
+			out[i].score(model.Classify(model.ErrInvalidConfig, err), nil, nil)
 			continue
 		}
 		res, err := trajectory.AnalyzeContext(ctx, fs, opt)
 		if err != nil {
-			out[i].Err = err
-			out[i].Outcome = ClassifyRouteOutcome(err, false)
+			out[i].score(err, nil, nil)
 			continue
 		}
-		ok, minSlack := SetVerdict(fs.Flows, res.Bounds)
-		out[i].MinSlack = minSlack
-		out[i].Outcome = ClassifyRouteOutcome(nil, ok)
+		out[i].score(nil, fs.Flows, res.Bounds)
 	}
 	return out
 }
@@ -180,7 +176,6 @@ func ScoreRoutesCold(ctx context.Context, net model.Network, opt trajectory.Opti
 // matches ScoreRoutesCold over the analyzer's admitted set exactly;
 // the parity tests enforce it.
 func ScoreRoutesWhatIf(ctx context.Context, a *trajectory.Analyzer, cands []*model.Flow, updateIdx int) []RouteCandidate {
-	base := a.FlowSet().Flows
 	tcands := make([]trajectory.Candidate, len(cands))
 	for i, cf := range cands {
 		if updateIdx >= 0 {
@@ -189,29 +184,47 @@ func ScoreRoutesWhatIf(ctx context.Context, a *trajectory.Analyzer, cands []*mod
 			tcands[i] = trajectory.Candidate{Add: cf}
 		}
 	}
-	outcomes := a.WhatIfContext(ctx, tcands)
 	out := make([]RouteCandidate, len(cands))
-	for i, cf := range cands {
-		out[i] = RouteCandidate{Path: cf.Path, Flow: cf}
-		if err := outcomes[i].Err; err != nil {
+	for i, o := range a.WhatIfContext(ctx, tcands) {
+		out[i] = RouteCandidate{Path: cands[i].Path, Flow: cands[i]}
+		if o.Err != nil {
 			// Unclassified fork errors are set-construction failures — the
 			// same class ScoreRoutesCold wraps as ErrInvalidConfig.
-			out[i].Err = model.Classify(model.ErrInvalidConfig, err)
-			out[i].Outcome = ClassifyRouteOutcome(out[i].Err, false)
+			out[i].score(model.Classify(model.ErrInvalidConfig, o.Err), nil, nil)
 			continue
 		}
-		flows := make([]*model.Flow, 0, len(base)+1)
-		flows = append(flows, base...)
-		if updateIdx >= 0 {
-			flows[updateIdx] = cf
-		} else {
-			flows = append(flows, cf)
-		}
-		ok, minSlack := SetVerdict(flows, outcomes[i].Result.Bounds)
-		out[i].MinSlack = minSlack
-		out[i].Outcome = ClassifyRouteOutcome(nil, ok)
+		out[i].score(nil, HypotheticalSet(a.FlowSet().Flows, &tcands[i]), o.Result.Bounds)
 	}
 	return out
+}
+
+// score classifies one candidate from its analysis error, or from the
+// hypothetical set's flows and bounds when the analysis succeeded.
+func (rc *RouteCandidate) score(err error, flows []*model.Flow, bounds []model.Time) {
+	if rc.Err = err; err != nil {
+		rc.Outcome = ClassifyRouteOutcome(err, false)
+		return
+	}
+	ok, minSlack := SetVerdict(flows, bounds)
+	rc.MinSlack, rc.Outcome = minSlack, ClassifyRouteOutcome(nil, ok)
+}
+
+// HypotheticalSet returns the flows a WhatIf candidate's Result indexes
+// into, given the analyzer's flows: adds append, removes shift down,
+// updates replace in place — the Analyzer mutations' index contract.
+func HypotheticalSet(base []*model.Flow, c *trajectory.Candidate) []*model.Flow {
+	switch {
+	case c.Add != nil:
+		return append(append(make([]*model.Flow, 0, len(base)+1), base...), c.Add)
+	case c.Update != nil:
+		out := append([]*model.Flow(nil), base...)
+		out[c.Index] = c.Update
+		return out
+	case c.Remove:
+		out := append(make([]*model.Flow, 0, len(base)-1), base[:c.Index]...)
+		return append(out, base[c.Index+1:]...)
+	}
+	return base
 }
 
 // TryAdmitRoute is the Controller's routing-aware admission: enumerate

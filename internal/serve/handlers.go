@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 
+	"trajan/internal/feasibility"
 	"trajan/internal/model"
 	"trajan/internal/obs"
 )
@@ -310,13 +311,23 @@ func routeMode(r *http.Request) (auto bool, err error) {
 }
 
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
+	s.handleContract(w, r, "admit")
+}
+
+func (s *Server) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
+	s.handleContract(w, r, "renegotiate")
+}
+
+// handleContract serves admit and renegotiate: both submit a flow
+// contract, optionally with ?route=auto.
+func (s *Server) handleContract(w http.ResponseWriter, r *http.Request, op string) {
 	var req AdmitRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
 	if req.Flow == nil {
-		writeError(w, model.Errorf(model.ErrInvalidConfig, "serve: admit needs a flow"))
+		writeError(w, model.Errorf(model.ErrInvalidConfig, "serve: %s needs a flow", op))
 		return
 	}
 	f, err := req.Flow.Build()
@@ -329,7 +340,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	d := s.dispatch(r, &mutation{op: "admit", flow: f, route: auto})
+	d := s.dispatch(r, &mutation{op: op, flow: f, route: auto})
 	if d.Err != nil {
 		writeError(w, d.Err)
 		return
@@ -353,34 +364,6 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, decisionResponse(req.Name, d))
-}
-
-func (s *Server) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
-	var req AdmitRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if req.Flow == nil {
-		writeError(w, model.Errorf(model.ErrInvalidConfig, "serve: renegotiate needs a flow"))
-		return
-	}
-	f, err := req.Flow.Build()
-	if err != nil {
-		writeError(w, model.Classify(model.ErrInvalidConfig, err))
-		return
-	}
-	auto, err := routeMode(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	d := s.dispatch(r, &mutation{op: "renegotiate", flow: f, route: auto})
-	if d.Err != nil {
-		writeError(w, d.Err)
-		return
-	}
-	writeJSON(w, http.StatusOK, decisionResponse(f.Name, d))
 }
 
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
@@ -437,7 +420,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 func wireProbe(p *whatifProbe) WhatIfOutcome {
 	out := WhatIfOutcome{Op: p.Op, Target: p.Target}
 	switch {
-	case p.Err != nil && isRefusal(p.Err):
+	case p.Err != nil && feasibility.IsRefusal(p.Err):
 		out.Decision = "unstable"
 	case p.Err != nil:
 		out.Decision = "error"
@@ -451,15 +434,22 @@ func wireProbe(p *whatifProbe) WhatIfOutcome {
 			ms := p.MinSlack
 			out.MinSlack = &ms
 		}
-		for i, name := range p.Names {
-			out.Verdicts = append(out.Verdicts, FlowVerdict{
-				Flow:      name,
-				Bound:     p.Bounds[i],
-				Unbounded: model.IsUnbounded(p.Bounds[i]),
-				Deadline:  p.Deadlines[i],
-				Feasible:  p.Deadlines[i] <= 0 || p.Bounds[i] <= p.Deadlines[i],
-			})
-		}
+		out.Verdicts = flowVerdicts(p.Flows, p.Bounds)
+	}
+	return out
+}
+
+// flowVerdicts lists each flow's bound against its deadline.
+func flowVerdicts(flows []*model.Flow, bounds []model.Time) []FlowVerdict {
+	var out []FlowVerdict
+	for i, f := range flows {
+		out = append(out, FlowVerdict{
+			Flow:      f.Name,
+			Bound:     bounds[i],
+			Unbounded: model.IsUnbounded(bounds[i]),
+			Deadline:  f.Deadline,
+			Feasible:  f.Deadline <= 0 || bounds[i] <= f.Deadline,
+		})
 	}
 	return out
 }
@@ -475,16 +465,8 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 		ms := sn.MinSlack
 		resp.MinSlack = &ms
 	}
-	if sn.FS != nil {
-		for i, f := range sn.FS.Flows {
-			resp.Verdicts = append(resp.Verdicts, FlowVerdict{
-				Flow:      f.Name,
-				Bound:     sn.Bounds[i],
-				Unbounded: model.IsUnbounded(sn.Bounds[i]),
-				Deadline:  f.Deadline,
-				Feasible:  f.Deadline <= 0 || sn.Bounds[i] <= f.Deadline,
-			})
-		}
+	if sn.FS != nil && sn.Bounds != nil { // a failed release re-analysis publishes no bounds
+		resp.Verdicts = flowVerdicts(sn.FS.Flows, sn.Bounds)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

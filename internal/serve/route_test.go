@@ -264,3 +264,41 @@ func TestRouteDecisionOracleParity(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteAutoDuplicateName: a route=auto admission that reuses an
+// admitted name is the same 400 as the manual-path request, not a "no
+// feasible route" refusal with every candidate "invalid". A candidate
+// path that breaks Assumption 1 against the admitted set stays a
+// per-candidate "invalid" outcome.
+func TestRouteAutoDuplicateName(t *testing.T) {
+	topo := closTopo2(t)
+	_, ts := newTestServer(t, Config{Topology: topo})
+	client := ts.Client()
+
+	src, dst := workload.ClosHost(0, 0), workload.ClosHost(1, 0)
+	x := &model.FlowConfig{Name: "x", Period: 50, Deadline: 100, Path: directPath(t, topo, src, dst), Cost: json.RawMessage("2")}
+	var d DecisionResponse
+	if postJSON(t, client, ts.URL+"/v1/admit", AdmitRequest{Flow: x}, &d); d.Decision != "admitted" {
+		t.Fatalf("admit x: %+v", d)
+	}
+	for _, url := range []string{"/v1/admit", "/v1/admit?route=auto"} {
+		if code := postJSON(t, client, ts.URL+url, AdmitRequest{Flow: x}, nil); code != http.StatusBadRequest {
+			t.Fatalf("duplicate %s: code %d, want 400", url, code)
+		}
+	}
+
+	// The reverse flow crosses x contiguously through spine 0 only: via
+	// spine 1 it meets x's path at both leaves but not in between.
+	y := &model.FlowConfig{Name: "y", Period: 50, Deadline: 100, Path: directPath(t, topo, dst, src), Cost: json.RawMessage("2")}
+	if code := postJSON(t, client, ts.URL+"/v1/admit?route=auto", AdmitRequest{Flow: y}, &d); code != http.StatusOK || d.Decision != "admitted" {
+		t.Fatalf("auto admit y: code %d %+v", code, d)
+	}
+	if len(d.RouteCandidates) != 2 || !d.RouteCandidates[0].Chosen || d.RouteCandidates[1].Decision != "invalid" {
+		t.Fatalf("auto admit y candidates: %+v, want spine 0 chosen and spine 1 invalid", d.RouteCandidates)
+	}
+
+	ghost := &model.FlowConfig{Name: "ghost", Period: 50, Path: directPath(t, topo, src, dst), Cost: json.RawMessage("2")}
+	if code := postJSON(t, client, ts.URL+"/v1/renegotiate?route=auto", AdmitRequest{Flow: ghost}, nil); code != http.StatusNotFound {
+		t.Fatalf("auto renegotiate of an unknown flow: code %d, want 404", code)
+	}
+}

@@ -10,9 +10,11 @@
 // Architecture (see docs/SERVING.md):
 //
 //   - A single-writer mutation loop owns the Analyzer. Admit, release
-//     and renegotiate requests are serialized through a bounded channel;
-//     each decision re-analyses the mutated set and is undone on a
-//     deadline miss or divergence, exactly like feasibility.Controller.
+//     and renegotiate requests are serialized through a bounded channel
+//     and decided by one feasibility.Session — the admission rule shared
+//     with trajan -admit and feasibility.Controller: each decision
+//     re-analyses the mutated set and is undone on a deadline miss or
+//     divergence.
 //     A full queue pushes back immediately (HTTP 429 + Retry-After)
 //     instead of letting latency grow without bound.
 //   - Read paths (/v1/bounds, /v1/flows, /healthz) never touch the
@@ -50,7 +52,7 @@ import (
 
 // ErrUnknownFlow marks release/renegotiate/what-if targets that name no
 // admitted flow; the HTTP layer maps it to 404.
-var ErrUnknownFlow = errors.New("serve: unknown flow")
+var ErrUnknownFlow = feasibility.ErrUnknownFlow
 
 // ErrShuttingDown is returned (and mapped to 503) once Shutdown has
 // begun: no new requests are accepted, queued ones still drain.
@@ -150,13 +152,6 @@ func (c Config) queueDepth() int {
 	return c.QueueDepth
 }
 
-func (c Config) routeK() int {
-	if c.RouteK <= 0 {
-		return feasibility.DefaultRouteK
-	}
-	return c.RouteK
-}
-
 func (c Config) checkpointEvery() int {
 	if c.CheckpointEvery == 0 {
 		return 64
@@ -175,7 +170,8 @@ type Snapshot struct {
 	// reference stays valid and immutable.
 	FS *model.FlowSet
 	// Bounds[i] is the worst-case end-to-end response-time bound of
-	// FS.Flows[i] under the committed set.
+	// FS.Flows[i] under the committed set; nil after a release whose
+	// re-analysis failed (the snapshot is then marked infeasible).
 	Bounds []model.Time
 	// AllFeasible reports whether every flow with a deadline meets it.
 	AllFeasible bool
@@ -239,10 +235,8 @@ type whatifCand struct {
 type whatifProbe struct {
 	Op     string
 	Target string
-	// Names/Deadlines describe the hypothetical set the bounds below
-	// index into.
-	Names       []string
-	Deadlines   []model.Time
+	// Flows is the hypothetical set the bounds below index into.
+	Flows       []*model.Flow
 	Bounds      []model.Time
 	AllFeasible bool
 	MinSlack    model.Time
@@ -279,14 +273,9 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Network.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Options.NonPreemption != nil {
-		return nil, model.Errorf(model.ErrInvalidConfig,
-			"serve: per-flow NonPreemption vectors cannot be remapped across mutations")
-	}
-	if cfg.Backend != "" {
-		if _, err := feasibility.ParseBackend(string(cfg.Backend)); err != nil {
-			return nil, err
-		}
+	sess, err := feasibility.NewSession(cfg.Network, cfg.Options, cfg.Backend, cfg.Preload)
+	if err != nil {
+		return nil, err
 	}
 	s := &Server{
 		cfg:   cfg,
@@ -296,34 +285,18 @@ func New(cfg Config) (*Server, error) {
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	st := &loopState{s: s}
+	st := &loopState{s: s, sess: sess}
+	sess.Commit = st.journalCommit
 	if cfg.restoreSeq > 0 {
 		// Rehydrated server: the initial publish below carries the
 		// recovered sequence, so readers observe a seamless continuation.
 		st.seq = cfg.restoreSeq - 1
 	}
-	if len(cfg.Preload) > 0 {
-		flows := make([]*model.Flow, len(cfg.Preload))
-		for i, f := range cfg.Preload {
-			flows[i] = f.Clone()
-		}
-		fs, err := model.NewFlowSet(cfg.Network, flows)
-		if err != nil {
-			return nil, err
-		}
-		a, err := trajectory.NewAnalyzer(fs, s.opt)
-		if err != nil {
-			return nil, err
-		}
-		st.a = a
-		ok, bounds, minSlack, err := st.verdict(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		st.publish(bounds, minSlack, ok)
-	} else {
-		st.publish(nil, model.TimeInfinity, true)
+	d, err := sess.Verdict(context.Background())
+	if err != nil {
+		return nil, err
 	}
+	st.publish(d.Bounds, d.MinSlack, d.Reason == "")
 	if j := cfg.Journal; j != nil && j.NextSeq() == 0 {
 		// Fresh journal: anchor it with a checkpoint of the initial
 		// snapshot (seq 1 — empty or preloaded), so the first mutation's
@@ -413,20 +386,19 @@ func (s *Server) enqueueWhatIf(w *whatifReq) error {
 func (s *Server) loop(st *loopState) {
 	defer close(s.done)
 	for {
+		var p any
 		select {
 		case <-s.quit:
 			s.drainQueues(st)
 			return
 		case m := <-s.mutCh:
-			if p := st.deliverMutation(m); p != nil {
-				s.abort(p)
-				return
-			}
+			p = st.deliverMutation(m)
 		case w := <-s.wifCh:
-			if p := st.safeWhatIfBatch(s.gatherWhatIf(w)); p != nil {
-				s.abort(p)
-				return
-			}
+			p = st.safeWhatIfBatch(s.gatherWhatIf(w))
+		}
+		if p != nil {
+			s.abort(p)
+			return
 		}
 	}
 }
@@ -529,20 +501,19 @@ func (s *Server) gatherWhatIf(first *whatifReq) []*whatifReq {
 
 func (s *Server) drainQueues(st *loopState) {
 	for {
+		var p any
 		select {
 		case m := <-s.mutCh:
-			if p := st.deliverMutation(m); p != nil {
-				// Panic during the shutdown drain: the server is already
-				// stopping, so just fail what's left instead of restarting.
-				s.failQueues(model.Errorf(model.ErrInternal, "serve: quarantined after panic: %v", p))
-				return
-			}
+			p = st.deliverMutation(m)
 		case w := <-s.wifCh:
-			if p := st.safeWhatIfBatch(s.gatherWhatIf(w)); p != nil {
-				s.failQueues(model.Errorf(model.ErrInternal, "serve: quarantined after panic: %v", p))
-				return
-			}
+			p = st.safeWhatIfBatch(s.gatherWhatIf(w))
 		default:
+			return
+		}
+		if p != nil {
+			// Panic during the shutdown drain: the server is already
+			// stopping, so just fail what's left instead of restarting.
+			s.failQueues(model.Errorf(model.ErrInternal, "serve: quarantined after panic: %v", p))
 			return
 		}
 	}
@@ -552,7 +523,7 @@ func (s *Server) drainQueues(st *loopState) {
 // goroutine touches it.
 type loopState struct {
 	s         *Server
-	a         *trajectory.Analyzer // nil when no flow is admitted
+	sess      *feasibility.Session // the admission rule and the warm Analyzer
 	seq       int64
 	sinceCkpt int  // committed mutations since the last checkpoint
 	jreported bool // OnJournalFailure already fired
@@ -572,12 +543,12 @@ func (st *loopState) journalFailed() error {
 	return nil
 }
 
-// journalCommit makes one decision durable — append + fsync — strictly
-// before its snapshot is published. The record's sequence is the
-// snapshot sequence the decision will publish (st.seq+1). On failure
-// the in-memory mutation is reverted by a cold rebuild from the
-// still-pre-mutation snapshot, OnJournalFailure fires once, and the
-// latched journal refuses all further mutations.
+// journalCommit is the session's commit hook: it makes one decision
+// durable — append + fsync — strictly before its snapshot is published.
+// The record's sequence is the snapshot sequence the decision will
+// publish (st.seq+1). On failure the session restores the last
+// committed set, OnJournalFailure fires once, and the latched journal
+// refuses all further mutations.
 func (st *loopState) journalCommit(op, name string, f *model.Flow) error {
 	j := st.s.cfg.Journal
 	if j == nil {
@@ -589,7 +560,6 @@ func (st *loopState) journalCommit(op, name string, f *model.Flow) error {
 		rec.Flow = &cfg
 	}
 	if err := j.Append(rec); err != nil {
-		st.rebuild()
 		st.reportJournalFailure(err)
 		return model.Errorf(model.ErrInternal, "serve: journal append: %w", err)
 	}
@@ -635,60 +605,12 @@ func checkpointOf(net model.Network, sn *Snapshot) journal.Checkpoint {
 	return cp
 }
 
-// isRefusal classifies analysis errors that mean "candidate refused"
-// (the configuration diverges or overflows the time domain) as opposed
-// to request or server failures — the same split feasibility.Controller
-// and the trajan -admit replay apply.
-func isRefusal(err error) bool {
-	return errors.Is(err, model.ErrUnstable) || errors.Is(err, model.ErrOverflow)
-}
-
-// verdict re-analyses the current set under ctx: feasibility of every
-// deadline, the full bounds vector, and the tightest slack. With a
-// non-default Config.Backend the bounds come from that backend (cold,
-// via feasibility.AnalyzeBackend); otherwise from the warm Analyzer.
-func (st *loopState) verdict(ctx context.Context) (ok bool, bounds []model.Time, minSlack model.Time, err error) {
-	if st.a == nil {
-		return true, nil, model.TimeInfinity, nil
-	}
-	if b := st.s.cfg.Backend; b != "" && b != feasibility.BackendTrajectory {
-		res, rerr := feasibility.AnalyzeBackend(ctx, st.a.FlowSet(), b, st.s.opt)
-		if rerr != nil {
-			return false, nil, 0, rerr
-		}
-		bounds = res.Bounds
-	} else {
-		bounds, err = st.a.BoundsContext(ctx)
-		if err != nil {
-			return false, nil, 0, err
-		}
-	}
-	ok, minSlack = true, model.TimeInfinity
-	for i, f := range st.a.FlowSet().Flows {
-		if f.Deadline <= 0 {
-			continue
-		}
-		var sat bool
-		if s := model.SubSat(f.Deadline, bounds[i], &sat); s < minSlack {
-			minSlack = s
-		}
-		if bounds[i] > f.Deadline {
-			ok = false
-		}
-	}
-	return ok, bounds, minSlack, nil
-}
-
 // publish swaps in a new immutable snapshot after a committed mutation.
 func (st *loopState) publish(bounds []model.Time, minSlack model.Time, feasible bool) *Snapshot {
 	st.seq++
-	var fs *model.FlowSet
-	if st.a != nil {
-		fs = st.a.FlowSet()
-	}
 	sn := &Snapshot{
 		Seq:         st.seq,
-		FS:          fs,
+		FS:          st.sess.Set(),
 		Bounds:      bounds,
 		AllFeasible: feasible,
 		MinSlack:    minSlack,
@@ -697,197 +619,73 @@ func (st *loopState) publish(bounds []model.Time, minSlack model.Time, feasible 
 	return sn
 }
 
-// rebuild reconstructs the analyzer cold from the last published
-// snapshot — the recovery path when undoing a mutation itself failed
-// and the warm engine's state can no longer be trusted.
-func (st *loopState) rebuild() {
-	sn := st.s.snap.Load()
-	if sn == nil || sn.FS == nil {
-		st.a = nil
-		return
-	}
-	a, err := trajectory.NewAnalyzer(sn.FS, st.s.opt)
-	if err != nil {
-		st.a = nil
-		return
-	}
-	st.a = a
-}
-
 func (st *loopState) emitAdmission(flow, outcome string) {
 	if tr := st.s.opt.Tracer; tr != nil {
 		tr.Emit(obs.Event{Type: obs.EvAdmission, Op: "serve", Flow: flow, Outcome: outcome, Tenant: st.s.cfg.Tenant})
 	}
 }
 
-func (st *loopState) findFlow(name string) int {
-	if st.a == nil {
-		return -1
-	}
-	for i, f := range st.a.FlowSet().Flows {
-		if f.Name == name {
-			return i
-		}
-	}
-	return -1
+func (st *loopState) fail(err error) decision {
+	return decision{Err: err, Snap: st.s.snap.Load()}
 }
 
 func (st *loopState) handleMutation(m *mutation) decision {
 	if err := st.journalFailed(); err != nil {
-		return decision{Err: err, Snap: st.s.snap.Load()}
+		return st.fail(err)
 	}
+	if m.route {
+		return st.route(m)
+	}
+	return st.apply(m)
+}
+
+// committedOutcome names a committed mutation in replies and events.
+var committedOutcome = map[string]string{"admit": "admitted", "renegotiate": "renegotiated", "release": "released"}
+
+// apply decides one manual-path mutation through the session and
+// publishes the committed result. A refusal leaves the set unchanged.
+func (st *loopState) apply(m *mutation) decision {
+	var (
+		d    feasibility.Decision
+		err  error
+		name = m.name
+	)
 	switch m.op {
-	case "admit":
-		if m.route {
-			return st.admitRoute(m)
+	case "admit", "renegotiate":
+		name = m.flow.Name
+		if err := st.validatePath(m.flow); err != nil {
+			return st.fail(err)
 		}
-		return st.admit(m)
+		if m.op == "admit" {
+			d, err = st.sess.Admit(m.ctx, m.flow)
+		} else {
+			d, err = st.sess.Renegotiate(m.ctx, m.flow)
+		}
 	case "release":
-		return st.release(m)
-	case "renegotiate":
-		if m.route {
-			return st.renegotiateRoute(m)
-		}
-		return st.renegotiate(m)
+		d, err = st.sess.Release(m.ctx, m.name)
 	default:
 		return decision{Err: model.Errorf(model.ErrInternal, "serve: unknown mutation op %q", m.op)}
 	}
-}
-
-// admit tests the candidate with one warm AddFlow and undoes it on
-// refusal — the delta re-analysis admission probe. Decision rule
-// (identical to feasibility.Controller): admitted iff the analysis
-// succeeds and every deadline still holds; divergence/overflow is a
-// refusal; any other analysis error is the caller's failure and leaves
-// the set unchanged.
-func (st *loopState) admit(m *mutation) decision {
-	f := m.flow
-	if err := st.validatePath(f); err != nil {
-		return decision{Err: err, Snap: st.s.snap.Load()}
-	}
-	var idx int
-	if st.a == nil {
-		fs, err := model.NewFlowSet(st.s.cfg.Network, []*model.Flow{f})
-		if err != nil {
-			return decision{Err: model.Classify(model.ErrInvalidConfig, err), Snap: st.s.snap.Load()}
-		}
-		a, err := trajectory.NewAnalyzer(fs, st.s.opt)
-		if err != nil {
-			return decision{Err: err, Snap: st.s.snap.Load()}
-		}
-		st.a, idx = a, 0
-	} else {
-		var err error
-		idx, err = st.a.AddFlow(f)
-		if err != nil {
-			return decision{Err: model.Classify(model.ErrInvalidConfig, err), Snap: st.s.snap.Load()}
-		}
-	}
-	revert := func() {
-		if st.a.FlowSet().N() == 1 {
-			st.a = nil
-		} else if rerr := st.a.RemoveFlow(idx); rerr != nil {
-			st.rebuild()
-		}
-	}
-	ok, bounds, minSlack, err := st.verdict(m.ctx)
-	if err != nil && !isRefusal(err) {
-		revert()
-		return decision{Err: err, Snap: st.s.snap.Load()}
-	}
-	if err != nil || !ok {
-		revert()
-		reason := "deadline miss"
-		if err != nil {
-			reason = "unstable"
-		}
-		st.emitAdmission(f.Name, "rejected ("+reason+")")
-		return decision{Outcome: "rejected", Reason: reason, Snap: st.s.snap.Load()}
-	}
-	if jerr := st.journalCommit("admit", "", f); jerr != nil {
-		return decision{Err: jerr, Snap: st.s.snap.Load()}
-	}
-	st.emitAdmission(f.Name, "admitted")
-	d := decision{Outcome: "admitted", Snap: st.publish(bounds, minSlack, ok)}
-	st.maybeCheckpoint()
-	return d
-}
-
-// release evicts a flow unconditionally (removal can only shrink
-// interference) and republishes the bounds of the remaining set.
-func (st *loopState) release(m *mutation) decision {
-	i := st.findFlow(m.name)
-	if i < 0 {
-		return decision{Err: model.Errorf(model.ErrInvalidConfig, "%w %q", ErrUnknownFlow, m.name), Snap: st.s.snap.Load()}
-	}
-	if st.a.FlowSet().N() == 1 {
-		st.a = nil
-	} else if err := st.a.RemoveFlow(i); err != nil {
-		return decision{Err: err, Snap: st.s.snap.Load()}
-	}
-	// The removal commits unconditionally (it can only shrink
-	// interference), so it is journaled before either publish below.
-	if jerr := st.journalCommit("release", m.name, nil); jerr != nil {
-		return decision{Err: jerr, Snap: st.s.snap.Load()}
-	}
-	ok, bounds, minSlack, err := st.verdict(m.ctx)
 	if err != nil {
-		// The removal is committed; the re-analysis failed (it cannot
-		// diverge on a shrunk set, so this is a timeout or a bug).
-		// Publish a conservative infeasible snapshot so readers see the
-		// new set rather than the stale one.
-		st.publish(nil, 0, false)
-		st.maybeCheckpoint()
-		return decision{Err: err, Snap: st.s.snap.Load()}
-	}
-	st.emitAdmission(m.name, "released")
-	d := decision{Outcome: "released", Snap: st.publish(bounds, minSlack, ok)}
-	st.maybeCheckpoint()
-	return d
-}
-
-// renegotiate replaces an admitted flow's contract and undoes the
-// replacement if any deadline would be missed — a rejected renegotiation
-// leaves the previous contract in force.
-func (st *loopState) renegotiate(m *mutation) decision {
-	f := m.flow
-	i := st.findFlow(f.Name)
-	if i < 0 {
-		return decision{Err: model.Errorf(model.ErrInvalidConfig, "%w %q", ErrUnknownFlow, f.Name), Snap: st.s.snap.Load()}
-	}
-	if err := st.validatePath(f); err != nil {
-		return decision{Err: err, Snap: st.s.snap.Load()}
-	}
-	old := st.a.FlowSet().Flows[i].Clone()
-	if err := st.a.UpdateFlow(i, f); err != nil {
-		return decision{Err: model.Classify(model.ErrInvalidConfig, err), Snap: st.s.snap.Load()}
-	}
-	revert := func() {
-		if rerr := st.a.UpdateFlow(i, old); rerr != nil {
-			st.rebuild()
+		if d.Committed {
+			// A release is durable before its re-analysis; that failed (a
+			// shrunk set cannot diverge, so a timeout or a bug). Publish a
+			// conservative infeasible snapshot so readers see the new set
+			// rather than the stale one.
+			st.publish(nil, 0, false)
+			st.maybeCheckpoint()
 		}
+		return st.fail(err)
 	}
-	ok, bounds, minSlack, err := st.verdict(m.ctx)
-	if err != nil && !isRefusal(err) {
-		revert()
-		return decision{Err: err, Snap: st.s.snap.Load()}
+	if !d.Committed {
+		st.emitAdmission(name, "rejected ("+d.Reason+")")
+		return decision{Outcome: "rejected", Reason: d.Reason, Snap: st.s.snap.Load()}
 	}
-	if err != nil || !ok {
-		revert()
-		reason := "deadline miss"
-		if err != nil {
-			reason = "unstable"
-		}
-		st.emitAdmission(f.Name, "rejected ("+reason+")")
-		return decision{Outcome: "rejected", Reason: reason, Snap: st.s.snap.Load()}
-	}
-	if jerr := st.journalCommit("renegotiate", "", f); jerr != nil {
-		return decision{Err: jerr, Snap: st.s.snap.Load()}
-	}
-	st.emitAdmission(f.Name, "renegotiated")
-	d := decision{Outcome: "renegotiated", Snap: st.publish(bounds, minSlack, ok)}
+	outcome := committedOutcome[m.op]
+	st.emitAdmission(name, outcome)
+	dec := decision{Outcome: outcome, Snap: st.publish(d.Bounds, d.MinSlack, d.Reason == "")}
 	st.maybeCheckpoint()
-	return d
+	return dec
 }
 
 // validatePath checks a manually-routed flow's path edge by edge
@@ -904,22 +702,6 @@ func (st *loopState) validatePath(f *model.Flow) error {
 		return model.Errorf(model.ErrInvalidConfig, "serve: flow %q: %w", f.Name, err)
 	}
 	return nil
-}
-
-// scoreRoutes scores candidate flows — one per candidate path — as a
-// single parallel WhatIf batch of copy-on-write forks on the warm
-// analyzer. updateIdx >= 0 scores each candidate as an Update of that
-// admitted flow (path renegotiation); -1 scores Adds. With no analyzer
-// (empty set) the candidates are scored cold and sequentially, which
-// is the ScoreRoutesCold oracle against the empty set by construction.
-// Either way the outcome vector is bit-identical to the sequential
-// cold oracle's — the WhatIf contract — so ChooseRoute decides
-// identically; the parity test enforces it.
-func (st *loopState) scoreRoutes(ctx context.Context, cfs []*model.Flow, updateIdx int) []feasibility.RouteCandidate {
-	if st.a == nil {
-		return feasibility.ScoreRoutesCold(ctx, st.s.cfg.Network, st.s.opt, nil, cfs)
-	}
-	return feasibility.ScoreRoutesWhatIf(ctx, st.a, cfs, updateIdx)
 }
 
 func (st *loopState) emitRouteCandidates(flow string, cands []feasibility.RouteCandidate) {
@@ -945,36 +727,33 @@ func (st *loopState) emitRouteDecision(flow, op, outcome string, n, winIdx int, 
 	}
 }
 
-// admitRoute is the route=auto admission: enumerate up to RouteK
-// shortest candidate paths between the submitted flow's endpoints,
-// score all of them as one parallel what-if batch, and commit the
-// feasible candidate with the widest post-admission MinSlack through
-// the ordinary admit path — so the journal records the resolved
-// chosen-path flow and crash recovery replays it without re-routing.
-func (st *loopState) admitRoute(m *mutation) decision {
+// route is the route=auto form of admit and renegotiate: the session
+// scores up to RouteK shortest candidate paths between the submitted
+// flow's endpoints as one parallel what-if batch, and the feasible
+// candidate with the widest post-decision MinSlack is committed through
+// the manual path — so the journal records the resolved chosen-path
+// flow and crash recovery replays it without re-routing. A rejection
+// leaves the previous contract and path in force.
+func (st *loopState) route(m *mutation) decision {
 	topo := st.s.cfg.Topology
 	if topo == nil {
-		return decision{
-			Err:  model.Errorf(model.ErrInvalidConfig, "serve: route=auto needs a daemon topology (start with -topology)"),
-			Snap: st.s.snap.Load(),
-		}
+		return st.fail(model.Errorf(model.ErrInvalidConfig, "serve: route=auto needs a daemon topology (start with -topology)"))
 	}
-	cfs, err := feasibility.RouteCandidates(topo, m.flow, st.s.cfg.routeK())
+	name := m.flow.Name
+	cands, win, err := st.sess.Routes(m.ctx, topo, m.flow, st.s.cfg.RouteK, m.op == "renegotiate")
 	if err != nil {
-		return decision{Err: err, Snap: st.s.snap.Load()}
+		return st.fail(err)
 	}
-	cands := st.scoreRoutes(m.ctx, cfs, -1)
-	win := feasibility.ChooseRoute(cands)
-	st.emitRouteCandidates(m.flow.Name, cands)
+	st.emitRouteCandidates(name, cands)
 	if win < 0 {
-		st.emitRouteDecision(m.flow.Name, "admit", "rejected", len(cands), 0, 0)
-		st.emitAdmission(m.flow.Name, "rejected (no feasible route)")
+		st.emitRouteDecision(name, m.op, "rejected", len(cands), 0, 0)
+		st.emitAdmission(name, "rejected (no feasible route)")
 		return decision{Outcome: "rejected", Reason: "no feasible route", Cands: cands, Winner: -1, Snap: st.s.snap.Load()}
 	}
 	m2 := *m
 	m2.flow = cands[win].Flow
-	d := st.admit(&m2)
-	if d.Outcome == "admitted" {
+	d := st.apply(&m2)
+	if d.Outcome == "admitted" || d.Outcome == "renegotiated" {
 		d.Path = cands[win].Path
 	}
 	d.Cands, d.Winner = cands, win
@@ -982,52 +761,7 @@ func (st *loopState) admitRoute(m *mutation) decision {
 	if outcome == "" {
 		outcome = "rejected"
 	}
-	st.emitRouteDecision(m.flow.Name, "admit", outcome, len(cands), win+1, cands[win].MinSlack)
-	return d
-}
-
-// renegotiateRoute re-routes an already-admitted flow: the same
-// candidate enumeration and batch scoring as admitRoute, but every
-// candidate is scored as an Update of the admitted flow, so a flow
-// whose current path has turned infeasible is moved to the best
-// alternate path instead of being refused. A rejection (no feasible
-// route at all) leaves the previous contract and path in force.
-func (st *loopState) renegotiateRoute(m *mutation) decision {
-	topo := st.s.cfg.Topology
-	if topo == nil {
-		return decision{
-			Err:  model.Errorf(model.ErrInvalidConfig, "serve: route=auto needs a daemon topology (start with -topology)"),
-			Snap: st.s.snap.Load(),
-		}
-	}
-	i := st.findFlow(m.flow.Name)
-	if i < 0 {
-		return decision{Err: model.Errorf(model.ErrInvalidConfig, "%w %q", ErrUnknownFlow, m.flow.Name), Snap: st.s.snap.Load()}
-	}
-	cfs, err := feasibility.RouteCandidates(topo, m.flow, st.s.cfg.routeK())
-	if err != nil {
-		return decision{Err: err, Snap: st.s.snap.Load()}
-	}
-	cands := st.scoreRoutes(m.ctx, cfs, i)
-	win := feasibility.ChooseRoute(cands)
-	st.emitRouteCandidates(m.flow.Name, cands)
-	if win < 0 {
-		st.emitRouteDecision(m.flow.Name, "renegotiate", "rejected", len(cands), 0, 0)
-		st.emitAdmission(m.flow.Name, "rejected (no feasible route)")
-		return decision{Outcome: "rejected", Reason: "no feasible route", Cands: cands, Winner: -1, Snap: st.s.snap.Load()}
-	}
-	m2 := *m
-	m2.flow = cands[win].Flow
-	d := st.renegotiate(&m2)
-	if d.Outcome == "renegotiated" {
-		d.Path = cands[win].Path
-	}
-	d.Cands, d.Winner = cands, win
-	outcome := d.Outcome
-	if outcome == "" {
-		outcome = "rejected"
-	}
-	st.emitRouteDecision(m.flow.Name, "renegotiate", outcome, len(cands), win+1, cands[win].MinSlack)
+	st.emitRouteDecision(name, m.op, outcome, len(cands), win+1, cands[win].MinSlack)
 	return d
 }
 
@@ -1045,6 +779,7 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 		defer cancel()
 	}
 
+	a := st.sess.Analyzer()
 	// Resolve every candidate against the committed set. Unresolvable
 	// candidates (unknown names, empty-set removes) fail individually
 	// without poisoning the batch.
@@ -1064,20 +799,20 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 			}
 			switch c.op {
 			case "add":
-				if st.a == nil {
+				if a == nil {
 					// Probe against the empty set: a cold single-flow
 					// analysis, outside the fork batch.
-					*p = st.probeEmptyAdd(ctx, c.flow)
+					st.probeEmptyAdd(ctx, p, c.flow)
 					continue
 				}
 				slots = append(slots, slot{p, trajectory.Candidate{Add: c.flow}})
 			case "remove":
-				i := st.findFlow(c.name)
+				i := st.sess.Index(c.name)
 				if i < 0 {
 					p.Err = model.Errorf(model.ErrInvalidConfig, "%w %q", ErrUnknownFlow, c.name)
 					continue
 				}
-				if st.a.FlowSet().N() == 1 {
+				if a.FlowSet().N() == 1 {
 					// Removing the only flow leaves the trivially
 					// feasible empty set.
 					p.AllFeasible, p.MinSlack = true, model.TimeInfinity
@@ -1085,7 +820,7 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 				}
 				slots = append(slots, slot{p, trajectory.Candidate{Remove: true, Index: i}})
 			case "update":
-				i := st.findFlow(c.flow.Name)
+				i := st.sess.Index(c.flow.Name)
 				if i < 0 {
 					p.Err = model.Errorf(model.ErrInvalidConfig, "%w %q", ErrUnknownFlow, c.flow.Name)
 					continue
@@ -1102,11 +837,12 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 		for x := range slots {
 			cands[x] = slots[x].cand
 		}
-		outcomes := st.a.WhatIfContext(ctx, cands)
-		for x := range slots {
-			op, target := slots[x].probe.Op, slots[x].probe.Target
-			*slots[x].probe = st.probeFromOutcome(&slots[x].cand, outcomes[x])
-			slots[x].probe.Op, slots[x].probe.Target = op, target
+		for x, o := range a.WhatIfContext(ctx, cands) {
+			if p := slots[x].probe; o.Err != nil {
+				p.Err = o.Err
+			} else {
+				fillProbe(p, feasibility.HypotheticalSet(a.FlowSet().Flows, &slots[x].cand), o.Result.Bounds)
+			}
 		}
 	}
 
@@ -1117,81 +853,25 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 }
 
 // probeEmptyAdd evaluates an "add" probe when no flow is admitted.
-func (st *loopState) probeEmptyAdd(ctx context.Context, f *model.Flow) whatifProbe {
-	p := whatifProbe{Op: "add", Target: f.Name}
+func (st *loopState) probeEmptyAdd(ctx context.Context, p *whatifProbe, f *model.Flow) {
 	fs, err := model.NewFlowSet(st.s.cfg.Network, []*model.Flow{f.Clone()})
 	if err != nil {
 		p.Err = model.Classify(model.ErrInvalidConfig, err)
-		return p
+		return
 	}
 	a, err := trajectory.NewAnalyzer(fs, st.s.opt)
-	if err != nil {
-		p.Err = err
-		return p
+	if err == nil {
+		var bounds []model.Time
+		if bounds, err = a.BoundsContext(ctx); err == nil {
+			fillProbe(p, fs.Flows, bounds)
+		}
 	}
-	bounds, err := a.BoundsContext(ctx)
-	if err != nil {
-		p.Err = err
-		return p
-	}
-	fillProbe(&p, fs.Flows, bounds)
-	return p
+	p.Err = err
 }
 
-// probeFromOutcome converts one WhatIf outcome into the wire probe:
-// the hypothetical set's flow names, bounds and feasibility verdict.
-func (st *loopState) probeFromOutcome(c *trajectory.Candidate, o trajectory.WhatIfOutcome) whatifProbe {
-	var p whatifProbe
-	if o.Err != nil {
-		p.Err = o.Err
-		return p
-	}
-	fillProbe(&p, st.hypotheticalSet(c), o.Result.Bounds)
-	return p
-}
-
-// hypotheticalSet reconstructs the flow metadata a candidate's Result
-// indexes into, without re-deriving the set itself: adds append, removes
-// shift down, updates replace in place — the same index contract as the
-// Analyzer mutations.
-func (st *loopState) hypotheticalSet(c *trajectory.Candidate) []*model.Flow {
-	base := st.a.FlowSet().Flows
-	switch {
-	case c.Add != nil:
-		out := make([]*model.Flow, 0, len(base)+1)
-		out = append(out, base...)
-		return append(out, c.Add)
-	case c.Update != nil:
-		out := append([]*model.Flow(nil), base...)
-		out[c.Index] = c.Update
-		return out
-	case c.Remove:
-		out := make([]*model.Flow, 0, len(base)-1)
-		out = append(out, base[:c.Index]...)
-		return append(out, base[c.Index+1:]...)
-	}
-	return base
-}
-
-// fillProbe completes a probe from the hypothetical set's flow
-// metadata and its analysed bounds.
+// fillProbe completes a probe from the hypothetical set and its
+// analysed bounds.
 func fillProbe(p *whatifProbe, flows []*model.Flow, bounds []model.Time) {
-	p.Names = make([]string, len(flows))
-	p.Deadlines = make([]model.Time, len(flows))
-	p.Bounds = bounds
-	p.AllFeasible, p.MinSlack = true, model.TimeInfinity
-	for i, f := range flows {
-		p.Names[i] = f.Name
-		p.Deadlines[i] = f.Deadline
-		if f.Deadline <= 0 {
-			continue
-		}
-		var sat bool
-		if s := model.SubSat(f.Deadline, bounds[i], &sat); s < p.MinSlack {
-			p.MinSlack = s
-		}
-		if bounds[i] > f.Deadline {
-			p.AllFeasible = false
-		}
-	}
+	p.Flows, p.Bounds = flows, bounds
+	p.AllFeasible, p.MinSlack = feasibility.SetVerdict(flows, bounds)
 }

@@ -227,6 +227,33 @@ func TestServePreload(t *testing.T) {
 	}
 }
 
+// TestReleaseTimeoutPublishesNoBounds: a release is durable before its
+// re-analysis, so when that re-analysis runs out of budget the reply is
+// a 504 yet the flow is gone, and the snapshot published for the new
+// set is marked infeasible and carries no bounds. /v1/bounds must serve
+// that snapshot instead of indexing bounds it does not have.
+func TestReleaseTimeoutPublishesNoBounds(t *testing.T) {
+	var pre []*model.Flow
+	for k := 0; k < 3; k++ {
+		f, err := callFlow(k).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre = append(pre, f)
+	}
+	_, ts := newTestServer(t, Config{Preload: pre, RequestTimeout: time.Nanosecond})
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/release", ReleaseRequest{Name: "call01"}, nil); code != http.StatusGatewayTimeout {
+		t.Fatalf("release: HTTP %d, want 504", code)
+	}
+	var b BoundsResponse
+	if code := getJSON(t, ts.Client(), ts.URL+"/v1/bounds", &b); code != http.StatusOK {
+		t.Fatalf("bounds: HTTP %d", code)
+	}
+	if b.Flows != 2 || b.AllFeasible || b.Verdicts != nil {
+		t.Fatalf("bounds after a timed-out release: %+v, want 2 flows, infeasible, no verdicts", b)
+	}
+}
+
 // gateTracer blocks the mutation loop inside one Emit call when armed,
 // so tests can deterministically fill the bounded queues.
 type gateTracer struct {

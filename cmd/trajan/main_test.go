@@ -305,10 +305,10 @@ func TestAdmitModeErrors(t *testing.T) {
 		return path
 	}
 	cases := map[string]string{
-		"missing file": filepath.Join(t.TempDir(), "nope.json"),
-		"bad json":     write(`{"events": [`),
-		"unknown op":   write(`{"network":{"lmin":1,"lmax":1},"events":[{"op":"evict","name":"x"}]}`),
-		"unknown flow": write(`{"network":{"lmin":1,"lmax":1},"events":[{"op":"remove","name":"x"}]}`),
+		"missing file":  filepath.Join(t.TempDir(), "nope.json"),
+		"bad json":      write(`{"events": [`),
+		"unknown op":    write(`{"network":{"lmin":1,"lmax":1},"events":[{"op":"evict","name":"x"}]}`),
+		"unknown flow":  write(`{"network":{"lmin":1,"lmax":1},"events":[{"op":"remove","name":"x"}]}`),
 		"add sans flow": write(`{"network":{"lmin":1,"lmax":1},"events":[{"op":"add"}]}`),
 	}
 	for name, path := range cases {

@@ -80,7 +80,7 @@ func (sc *Scenario) Source() ScenarioSource {
 	return s
 }
 
-func (s *scenarioSource) Flows() int         { return len(s.sc.Gen) }
+func (s *scenarioSource) Flows() int            { return len(s.sc.Gen) }
 func (s *scenarioSource) TieBreak(flow int) int { return s.sc.tiebreak(flow) }
 
 func (s *scenarioSource) Next(flow int, spec *PacketSpec) bool {

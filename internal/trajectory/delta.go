@@ -49,9 +49,7 @@ type undoSnap struct {
 	entryBase []int
 	nEntries  int
 
-	topo    *denseTopo
-	colors  []int32
-	nColors int32
+	topo *denseTopo
 
 	smax      smaxTable
 	smaxFlat  []model.Time
@@ -215,8 +213,7 @@ func (a *Analyzer) remapPrefixRow(row []viewSlot, removed int, entryBase []int) 
 
 // resetSmaxState drops the cached fixed point and its error latches: a
 // mutation gives the analyzer a new flow set, and a previously latched
-// divergence verdict no longer describes it. The interference coloring
-// is topology-dependent, so it drops too.
+// divergence verdict no longer describes it.
 func (a *Analyzer) resetSmaxState() {
 	a.smax = nil
 	a.smaxFlat = nil
@@ -224,8 +221,6 @@ func (a *Analyzer) resetSmaxState() {
 	a.converged = false
 	a.smaxDone = false
 	a.smaxErr = nil
-	a.colors = nil
-	a.nColors = 0
 }
 
 // pushUndo records the current state on the snapshot chain.
@@ -246,9 +241,7 @@ func (a *Analyzer) pushUndo() {
 		entryBase: a.entryBase,
 		nEntries:  a.nEntries,
 
-		topo:    a.topo,
-		colors:  a.colors,
-		nColors: a.nColors,
+		topo: a.topo,
 
 		smax:      a.smax,
 		smaxFlat:  a.smaxFlat,
@@ -269,7 +262,7 @@ func (a *Analyzer) pushUndo() {
 func (a *Analyzer) restore(s *undoSnap) {
 	a.fs, a.full, a.prefix = s.fs, s.full, s.prefix
 	a.entryBase, a.nEntries = s.entryBase, s.nEntries
-	a.topo, a.colors, a.nColors = s.topo, s.colors, s.nColors
+	a.topo = s.topo
 	a.smax, a.smaxFlat = s.smax, s.smaxFlat
 	a.sweeps, a.converged = s.sweeps, s.converged
 	a.smaxDone, a.smaxErr = s.smaxDone, s.smaxErr

@@ -50,11 +50,12 @@ func schedulerGrid(t *testing.T, fn func(t *testing.T, procs, workers int)) {
 // TestColdAnalyzeDeterminism pins the tentpole's determinism contract:
 // a cold Analyze must produce a byte-identical obs trace log and a
 // deeply equal Result across every GOMAXPROCS × worker-count
-// combination, for both Smax estimators. The colored parallel sweeps
-// make this non-trivial — workers race on wall-clock, so the property
-// holds only because slot evaluation is Jacobi (reads the immutable
-// previous iterate), commits happen post-barrier in slot order, and
-// every trace event is emitted from the serial sweep driver.
+// combination, for both Smax estimators. The fixed-point sweeps are
+// serial, so what this pins is that nothing in the analysis — sweep
+// order, Jacobi commits in slot order, trace emission from the sweep
+// driver — reads the scheduler: neither GOMAXPROCS nor
+// Options.Parallelism (which bounds only WhatIf candidate concurrency)
+// may change a byte of the trace or the Result.
 func TestColdAnalyzeDeterminism(t *testing.T) {
 	for si, fs := range determinismSets(t) {
 		for _, mode := range []SmaxMode{SmaxPrefixFixpoint, SmaxGlobalTail} {

@@ -23,10 +23,10 @@ import (
 // structure-of-arrays form: every view's interferer arrays are carved
 // from a per-Analyzer chunked arena (slab.go), the Smax tables are flat
 // slices indexed by precomputed global entry ids, and view construction
-// runs on a dense map-free topology mirror. Sweep parallelism is
-// scheduled by greedy-coloring the interference graph; bit-identity is
-// guaranteed by the Jacobi structure itself (evaluations read an
-// immutable table, commits happen post-barrier in slot order).
+// runs on a dense map-free topology mirror. Each sweep is one serial
+// loop in slot order with Jacobi commits: every evaluation reads the
+// previous table, and results are committed after the sweep in slot
+// order.
 //
 // The engine returns bit-identical Results to the straight-line
 // reference implementation in reference.go; engine_test.go enforces
@@ -43,10 +43,10 @@ import (
 // from one goroutine at a time; callers that serve concurrent clients
 // must serialize access externally (internal/serve does this with a
 // single-writer loop and publishes results through immutable
-// snapshots). The Analyzer parallelizes *internally* per
-// Options.Parallelism: fixed-point sweeps fan work out to workers, and
-// WhatIf evaluates candidates on concurrent copy-on-write forks — but
-// those goroutines never outlive the method call that spawned them.
+// snapshots). The only internal concurrency is WhatIf, which
+// evaluates up to Options.Parallelism candidates on concurrent
+// copy-on-write forks — and those goroutines never outlive the call
+// that spawned them; fixed-point sweeps always run serially.
 // Results (bounds slices, FlowSet references) are safe to read from
 // other goroutines once the method has returned, provided no mutation
 // runs concurrently with the reads; internal/serve relies on the
@@ -73,12 +73,8 @@ type Analyzer struct {
 	nEntries  int
 
 	// topo is the dense topology mirror (slab.go), built lazily and
-	// maintained copy-on-write across mutations; colors is the greedy
-	// coloring of the interference graph that schedules parallel
-	// sweeps, invalidated by any mutation.
-	topo    *denseTopo
-	colors  []int32
-	nColors int32
+	// maintained copy-on-write across mutations.
+	topo *denseTopo
 
 	// arena backs every view's SoA slices; multi is the view builder's
 	// working state (buildAll, slab.go) and fix the fixed-point scratch.
@@ -166,44 +162,6 @@ func (a *Analyzer) ensureTopo() *denseTopo {
 	return a.topo
 }
 
-// ensureColors returns the greedy coloring of the interference graph:
-// flows are colored in index order, each taking the smallest color not
-// used by an already-colored flow whose path intersects its own. The
-// coloring is a pure function of the topology, so it is deterministic;
-// mutations invalidate it (delta.go).
-func (a *Analyzer) ensureColors() []int32 {
-	if a.colors != nil {
-		return a.colors
-	}
-	tp := a.ensureTopo()
-	n := a.fs.N()
-	colors := make([]int32, n)
-	used := make([]bool, n+1)
-	a.nColors = 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			if tp.intersect(i, j) {
-				used[colors[j]] = true
-			}
-		}
-		c := int32(0)
-		for used[c] {
-			c++
-		}
-		colors[i] = c
-		if c+1 > a.nColors {
-			a.nColors = c + 1
-		}
-		for j := 0; j < i; j++ {
-			if tp.intersect(i, j) {
-				used[colors[j]] = false
-			}
-		}
-	}
-	a.colors = colors
-	return colors
-}
-
 // Analyze computes the full Result (bounds, jitters, details, arrival
 // bounds) for every flow. Repeated calls reuse the converged Smax table
 // and the cached views; each call returns a fresh Result the caller may
@@ -213,10 +171,10 @@ func (a *Analyzer) Analyze() (*Result, error) {
 }
 
 // AnalyzeContext is Analyze with cancellation: the context is checked
-// at the top of every fixed-point sweep and by every sweep worker
-// before it claims a job, so cancellation surfaces as ErrCanceled
-// within one sweep. A contained panic anywhere in the analysis comes
-// back as ErrInternal, never as a crash of the caller.
+// at the top of every fixed-point sweep and before every view the sweep
+// evaluates, so cancellation surfaces as ErrCanceled within one sweep.
+// A contained panic anywhere in the analysis comes back as ErrInternal,
+// never as a crash of the caller.
 func (a *Analyzer) AnalyzeContext(ctx context.Context) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -1119,7 +1077,7 @@ func (vc *viewCache) eval(opt Options, flat []model.Time, sc *evalScratch) (mode
 }
 
 // fixScratch is the per-Analyzer working state of the fixed-point
-// drivers: slot lists, job/result buffers, the packed reverse
+// drivers: slot lists, result buffers, the packed reverse
 // dependency index and the global-tail iteration vectors. Reused across
 // ensureSmax runs so warm delta re-analysis (admission churn) allocates
 // only the fresh flat table per run.
@@ -1129,9 +1087,6 @@ type fixScratch struct {
 	views        []*viewCache
 	results      []model.Time
 	dirty        []bool
-	jobs         []engineJob
-	sorted       []engineJob
-	colorCount   []int32
 	entryChanged []bool
 	changed      []int32
 	revCounts    []int32
@@ -1259,14 +1214,8 @@ func (a *Analyzer) enginePrefixFixpoint(ctx context.Context, seed smaxTable, dir
 			fx.changed = changed
 			return nil, nil, sweep, false, err
 		}
-		jobs := fx.jobs[:0]
-		for m := range fx.views {
-			if dirty[m] {
-				jobs = append(jobs, engineJob{fx.views[m], &fx.results[m], int32(m)})
-			}
-		}
-		fx.jobs = jobs
-		if err := a.runJobs(ctx, jobs, flat); err != nil {
+		evaluated, err := a.sweep(ctx, fx.views, dirty, fx.results, flat)
+		if err != nil {
 			fx.changed = changed
 			return nil, nil, sweep, false, err
 		}
@@ -1304,7 +1253,7 @@ func (a *Analyzer) enginePrefixFixpoint(ctx context.Context, seed smaxTable, dir
 		}
 		if tr != nil {
 			tr.Emit(obs.Event{Type: obs.EvSmaxSweep, Sweep: sweep,
-				Evaluated: len(jobs), Changed: len(changed)})
+				Evaluated: evaluated, Changed: len(changed)})
 		}
 		if len(changed) == 0 {
 			fx.changed = changed
@@ -1394,14 +1343,8 @@ func (a *Analyzer) engineGlobalTail(ctx context.Context) (smaxTable, []model.Tim
 			}
 		}
 		copy(prevFlat, flat)
-		jobs := fx.jobs[:0]
-		for m := range fx.views {
-			if dirty[m] {
-				jobs = append(jobs, engineJob{fx.views[m], &next[m], int32(m)})
-			}
-		}
-		fx.jobs = jobs
-		if err := a.runJobs(ctx, jobs, flat); err != nil {
+		evaluated, err := a.sweep(ctx, fx.views, dirty, next, flat)
+		if err != nil {
 			return nil, nil, sweep, false, err
 		}
 		for i, r := range next {
@@ -1421,7 +1364,7 @@ func (a *Analyzer) engineGlobalTail(ctx context.Context) (smaxTable, []model.Tim
 			}
 			same = nc == 0
 			tr.Emit(obs.Event{Type: obs.EvSmaxSweep, Sweep: sweep,
-				Evaluated: len(jobs), Changed: nc})
+				Evaluated: evaluated, Changed: nc})
 		} else {
 			for i := range next {
 				if next[i] != bounds[i] {

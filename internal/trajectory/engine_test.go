@@ -40,8 +40,8 @@ func fuzzedSets(t *testing.T, trials int) []*model.FlowSet {
 
 // engineOptionMatrix enumerates the Options settings the differential
 // tests cover: all three Smax estimators crossed with the window and
-// scan variants, serial and parallel sweeps, and Property 3's
-// non-preemption penalty.
+// scan variants, a non-default Parallelism (which must not change
+// anything: sweeps are serial), and Property 3's non-preemption penalty.
 func engineOptionMatrix(fs *model.FlowSet) []Options {
 	np := make([][]model.Time, fs.N())
 	for i, f := range fs.Flows {

@@ -123,11 +123,10 @@ type Options struct {
 	// variant exists for the Table-2 calibration study.
 	StrictWindow bool
 
-	// Parallelism bounds the worker count for the fixed-point sweeps
-	// (each sweep's per-view bounds are independent given the previous
-	// table, so they fan out safely). 0 selects GOMAXPROCS; 1 forces
-	// serial execution. Results are identical at any setting — the
-	// sweeps are pure functions of the previous iterate.
+	// Parallelism bounds how many WhatIf candidates are evaluated
+	// concurrently, each on its own copy-on-write fork. 0 selects
+	// GOMAXPROCS; 1 forces serial execution. Fixed-point sweeps always
+	// run serially. Results are identical at any setting.
 	Parallelism int
 
 	// Tracer receives structured observability events: Smax fixed-point

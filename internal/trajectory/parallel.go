@@ -8,30 +8,28 @@ import (
 	"trajan/internal/model"
 )
 
-// This file holds both sweep schedulers:
+// This file holds both sweep loops:
 //
-//   - runViews: the reference path's channel-fed pool over straight-line
+//   - runViews: the reference path's loop over straight-line
 //     boundForView computations (pathView jobs).
-//   - runJobs/colorSort: the engine's colored scheduler over cached SoA
-//     views against a flat Smax table.
+//   - sweep: the engine's loop over cached SoA views against a flat
+//     Smax table.
 //
-// Both produce results identical to serial execution — each job writes
-// only its own slot and the first error in job/slot order wins — which
-// is what keeps the engine differentially pinned to the reference at
-// every worker count.
+// Both evaluate in slot order against the previous table (Jacobi
+// iteration) and stop at the first error, so the first failing slot
+// wins on both paths — which is what keeps the engine differentially
+// pinned to the reference.
 
 // viewJob is one independent bound computation of a fixed-point sweep.
 type viewJob struct {
 	view pathView
 	// dst receives the resulting bound; each job writes a distinct slot.
 	dst *model.Time
-	err error
 }
 
 // safeBoundForView is boundForView with panic containment: a panic in
-// a worker (a broken internal invariant) becomes ErrInternal instead of
-// crashing the whole process — essential because a panicking goroutine
-// cannot be recovered by the caller.
+// an evaluation (a broken internal invariant) becomes ErrInternal
+// instead of unwinding into the caller.
 func safeBoundForView(fs *model.FlowSet, opt Options, view pathView, smax smaxTable) (r model.Time, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -44,74 +42,26 @@ func safeBoundForView(fs *model.FlowSet, opt Options, view pathView, smax smaxTa
 	return boundForView(fs, opt, view, smax)
 }
 
-// runViews evaluates the jobs against an immutable Smax table, fanning
-// out across Options.workers() goroutines. Each job writes only its
-// own slot, so the result is identical to serial execution; the first
-// error (by job order) is returned. All goroutines are joined before
-// returning, whether or not a job failed.
+// runViews evaluates the jobs in order against an immutable Smax
+// table and returns the first error.
 func runViews(fs *model.FlowSet, opt Options, smax smaxTable, jobs []viewJob) error {
-	workers := opt.workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for k := range jobs {
-			r, err := safeBoundForView(fs, opt, jobs[k].view, smax)
-			if err != nil {
-				return err
-			}
-			*jobs[k].dst = r
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	go func() {
-		for k := range jobs {
-			next <- k
-		}
-		close(next)
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range next {
-				r, err := safeBoundForView(fs, opt, jobs[k].view, smax)
-				if err != nil {
-					jobs[k].err = err
-					continue
-				}
-				*jobs[k].dst = r
-			}
-		}()
-	}
-	wg.Wait()
 	for k := range jobs {
-		if jobs[k].err != nil {
-			return jobs[k].err
+		r, err := safeBoundForView(fs, opt, jobs[k].view, smax)
+		if err != nil {
+			return err
 		}
+		*jobs[k].dst = r
 	}
 	return nil
 }
 
-// engineJob pairs a cached view with its result slot for a sweep; ord
-// is the job's slot order, the tie-break for error selection under the
-// colored parallel schedule.
-type engineJob struct {
-	vc  *viewCache
-	dst *model.Time
-	ord int32
-}
-
-// scratchPool recycles evaluation scratches across parallel sweeps and
-// across Analyzers: admission churn creates short bursts of parallel
-// evaluation on every mutation, and pooling keeps the steady state
-// allocation-free instead of growing a per-worker slice per Analyzer.
-// scratchPoolNews counts pool misses (fresh allocations) — the churn
-// gauge exported by cmd/trajan's metrics endpoint; a steadily climbing
-// value under constant load means the GC is draining the pool faster
-// than the sweep cadence refills it.
+// scratchPool recycles evaluation scratches across WhatIf forks and
+// across Analyzers: every candidate of a batch runs on a fresh fork,
+// and pooling lets it reuse buffers grown by earlier candidates instead
+// of growing its own from zero. scratchPoolNews counts pool misses
+// (fresh allocations) — the churn gauge the CLIs export; a steadily
+// climbing value under constant load means the GC is draining the pool
+// faster than the what-if cadence refills it.
 var (
 	scratchPoolNews atomic.Int64
 	scratchPool     = sync.Pool{New: func() any {
@@ -124,113 +74,27 @@ var (
 // allocated because the pool was empty (process-wide, monotone).
 func ScratchPoolNews() int64 { return scratchPoolNews.Load() }
 
-// colorSort returns the jobs grouped by the interference-graph color of
-// their flow (stable within a color, so slot order is preserved per
-// class) — the colored parallel schedule. Workers drain the classes in
-// order, so concurrently claimed jobs overwhelmingly belong to one
-// class of pairwise NON-interfering flows: their A-offset gathers hit
-// disjoint regions of the flat table instead of all workers chasing the
-// same hot rows. Correctness never depends on the schedule — every
-// evaluation reads the immutable previous table (Jacobi iteration) and
-// commits happen post-barrier in slot order — so results stay
-// bit-identical for every worker count; the determinism property test
-// pins this.
-func (a *Analyzer) colorSort(jobs []engineJob) []engineJob {
-	colors := a.ensureColors()
-	nc := int(a.nColors)
-	if nc <= 1 {
-		return jobs
-	}
-	fx := &a.fix
-	if cap(fx.colorCount) < nc+1 {
-		fx.colorCount = make([]int32, nc+1)
-	}
-	cnt := fx.colorCount[:nc+1]
-	for c := range cnt {
-		cnt[c] = 0
-	}
-	for k := range jobs {
-		cnt[colors[jobs[k].vc.flow]+1]++
-	}
-	for c := 1; c <= nc; c++ {
-		cnt[c] += cnt[c-1]
-	}
-	if cap(fx.sorted) < len(jobs) {
-		fx.sorted = make([]engineJob, len(jobs))
-	}
-	sorted := fx.sorted[:len(jobs)]
-	for k := range jobs {
-		c := colors[jobs[k].vc.flow]
-		sorted[cnt[c]] = jobs[k]
-		cnt[c]++
-	}
-	return sorted
-}
-
-// runJobs evaluates the jobs against an immutable flat Smax table,
-// fanning out across Options.workers() goroutines with pooled
-// per-worker scratches under the colored schedule. Every worker checks
-// the context before claiming a job (so a cancellation drains the pool
-// within one sweep) and evaluates through safeEval, which contains
-// panics as ErrInternal. All goroutines are always joined before
-// returning — a failure leaks nothing. The first error in SLOT order is
-// returned (matching the serial path and the reference, independent of
-// the colored claim order).
-func (a *Analyzer) runJobs(ctx context.Context, jobs []engineJob, flat []model.Time) error {
-	workers := a.opt.workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for k := range jobs {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-			r, _, err := a.safeEval(jobs[k].vc, flat, &a.scratch)
-			if err != nil {
-				return err
-			}
-			*jobs[k].dst = r
+// sweep evaluates every dirty view, in slot order, against the
+// immutable flat Smax table, writing view m's bound to dst[m]. The
+// context is checked before each view, so a cancellation surfaces
+// within one sweep, and each evaluation goes through safeEval, which
+// contains panics as ErrInternal. It returns the number of views
+// evaluated; on error the first failing slot's error is returned.
+func (a *Analyzer) sweep(ctx context.Context, views []*viewCache, dirty []bool, dst, flat []model.Time) (int, error) {
+	evaluated := 0
+	for m, vc := range views {
+		if !dirty[m] {
+			continue
 		}
-		return nil
-	}
-	sorted := a.colorSort(jobs)
-	errs := make([]error, len(sorted))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := scratchPool.Get().(*evalScratch)
-			defer scratchPool.Put(sc)
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				k := next.Add(1) - 1
-				if k >= int64(len(sorted)) {
-					return
-				}
-				r, _, err := a.safeEval(sorted[k].vc, flat, sc)
-				if err != nil {
-					errs[k] = err
-					continue
-				}
-				*sorted[k].dst = r
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	var first error
-	bestOrd := int32(-1)
-	for k := range errs {
-		if errs[k] != nil && (bestOrd < 0 || sorted[k].ord < bestOrd) {
-			first, bestOrd = errs[k], sorted[k].ord
+		if err := ctxErr(ctx); err != nil {
+			return evaluated, err
 		}
+		r, _, err := a.safeEval(vc, flat, &a.scratch)
+		if err != nil {
+			return evaluated, err
+		}
+		dst[m] = r
+		evaluated++
 	}
-	return first
+	return evaluated, nil
 }

@@ -60,8 +60,9 @@ func TestParallelErrorPropagation(t *testing.T) {
 	}
 }
 
-// BenchmarkParallelSmax contrasts serial and parallel fixpoint sweeps
-// on a wide flow set (the ablation DESIGN.md calls out).
+// BenchmarkParallelSmax times a wide flow set's fixpoint at several
+// Parallelism settings. Sweeps are serial, so the times should agree;
+// a gap means per-sweep fan-out came back (DESIGN.md §6.2).
 func BenchmarkParallelSmax(b *testing.B) {
 	flows := make([]*model.Flow, 24)
 	path := []model.NodeID{1, 2, 3, 4, 5, 6}

@@ -187,7 +187,6 @@ func (a *Analyzer) fork() *Analyzer {
 		pendingSeed:  a.pendingSeed,
 		pendingDirty: a.pendingDirty,
 	}
-	f.opt.Parallelism = 1
 	f.full = append([]viewSlot(nil), a.full...)
 	f.prefix = make([][]viewSlot, len(a.prefix))
 	for i, row := range a.prefix {

@@ -226,35 +226,3 @@ func HypotheticalSet(base []*model.Flow, c *trajectory.Candidate) []*model.Flow 
 	}
 	return base
 }
-
-// TryAdmitRoute is the Controller's routing-aware admission: enumerate
-// up to k candidate paths for f, score them sequentially (cold), and
-// commit the winner through TryAdmit. The returned candidates carry the
-// per-path verdicts whatever the decision; chosen is the committed path
-// (nil on refusal). Candidate construction errors (no topology,
-// non-uniform cost, unknown endpoints) propagate as err.
-func (c *Controller) TryAdmitRoute(topo *model.Topology, f *model.Flow, k int) (ok bool, chosen model.Path, cands []RouteCandidate, err error) {
-	cfs, err := RouteCandidates(topo, f, k)
-	if err != nil {
-		return false, nil, nil, err
-	}
-	cands = ScoreRoutesCold(context.Background(), c.net, c.opt, c.admitted, cfs)
-	win := ChooseRoute(cands)
-	if win < 0 {
-		c.emitDecision("route", f.Name, "rejected (no feasible route)")
-		return false, nil, cands, nil
-	}
-	ok, _, err = c.TryAdmit(cands[win].Flow)
-	if err != nil {
-		return false, nil, cands, err
-	}
-	if !ok {
-		// The scoring said feasible but the committing analysis refused —
-		// only possible when the two disagree (e.g. an Assumption-1 split
-		// changed the set shape). Surface the refusal honestly.
-		c.emitDecision("route", f.Name, "rejected")
-		return false, nil, cands, nil
-	}
-	c.emitDecision("route", f.Name, "admitted")
-	return true, cands[win].Path, cands, nil
-}

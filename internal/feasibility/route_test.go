@@ -141,44 +141,6 @@ func TestClassifyRouteOutcome(t *testing.T) {
 	}
 }
 
-// TestTryAdmitRoute drives the cold controller path end to end: the
-// direct path is refused under the spine-0 load, the alternate admits.
-func TestTryAdmitRoute(t *testing.T) {
-	topo, hog, f := closFixture(t)
-	c := NewController(model.UnitDelayNetwork(), trajectory.Options{})
-	c.Preload(hog)
-
-	// Manual admission on the direct path is refused outright.
-	if ok, _, err := c.TryAdmit(f.Clone()); err != nil {
-		t.Fatal(err)
-	} else if ok {
-		t.Fatal("direct-path admission unexpectedly succeeded")
-	}
-
-	ok, chosen, cands, err := c.TryAdmitRoute(topo, f, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("auto-route admission refused; candidates: %+v", cands)
-	}
-	if len(cands) != 2 {
-		t.Fatalf("candidates = %d, want 2", len(cands))
-	}
-	if cands[0].Outcome != "infeasible" {
-		t.Fatalf("direct candidate outcome %q, want infeasible", cands[0].Outcome)
-	}
-	if cands[1].Outcome != "feasible" {
-		t.Fatalf("alternate candidate outcome %q, want feasible", cands[1].Outcome)
-	}
-	if chosen[2] != workload.ClosSpine(1) {
-		t.Fatalf("chosen path %v does not transit spine 1", chosen)
-	}
-	if got := len(c.Admitted()); got != 2 {
-		t.Fatalf("admitted = %d, want 2", got)
-	}
-}
-
 // TestRouteParallelScoringParity pins the tentpole determinism claim:
 // scoring all candidates as one parallel WhatIf batch of copy-on-write
 // forks produces an outcome vector bit-identical to the sequential

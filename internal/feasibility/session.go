@@ -30,8 +30,8 @@ type Decision struct {
 	// committed Release or Update left — and empty otherwise.
 	Reason string
 	// Set is the analysed set (the committed one, or the refused
-	// hypothetical; nil when empty) and Bounds its bounds (nil when
-	// Reason is "unstable").
+	// hypothetical) and Bounds its bounds (nil when Reason is
+	// "unstable").
 	Set    *model.FlowSet
 	Bounds []model.Time
 	// MinSlack is Set's tightest deadline slack: TimeInfinity when no
@@ -41,12 +41,12 @@ type Decision struct {
 
 // Session is the one admission core behind trajand, trajan -admit and
 // Controller's warm case: a warm trajectory.Analyzer over the last
-// committed flow set, and the rule of the paper's Section 6 — a flow
-// joins only if, with it installed, every flow still meets its
-// deadline. Every mutation runs the same steps:
+// committed flow set — empty at the start of the paper's Section 6,
+// which admits flows one at a time — and its rule: a flow joins only
+// if, with it installed, every flow still meets its deadline. Every
+// mutation runs the same steps:
 //
-//  1. mutate the engine: NewAnalyzer on an empty set, otherwise
-//     AddFlow / UpdateFlow / RemoveFlow;
+//  1. mutate the engine: AddFlow / UpdateFlow / RemoveFlow;
 //  2. take the verdict: warm BoundsContext, or AnalyzeBackend when the
 //     backend is not trajectory, summarized by SetVerdict;
 //  3. Admit and Renegotiate undo the mutation on a deadline miss or a
@@ -59,11 +59,10 @@ type Decision struct {
 // set is restored exactly — same flows, same order, bit-identical
 // bounds — by a cold rebuild. A Session is not safe for concurrent use.
 type Session struct {
-	net     model.Network
 	opt     trajectory.Options
 	backend Backend
-	a       *trajectory.Analyzer // nil when the set is empty
-	fs      *model.FlowSet       // last committed set; nil when empty
+	a       *trajectory.Analyzer
+	fs      *model.FlowSet // last committed set
 
 	// Commit, when non-nil, is called once per mutation about to commit:
 	// op is "admit", "renegotiate", "release" or "update", name the
@@ -88,34 +87,27 @@ func NewSession(net model.Network, opt trajectory.Options, b Backend, flows []*m
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{net: net, opt: opt, backend: b}
-	if len(flows) > 0 {
-		cl := make([]*model.Flow, len(flows))
-		for i, f := range flows {
-			cl[i] = f.Clone()
-		}
-		if s.fs, err = model.NewFlowSet(net, cl); err != nil {
-			return nil, err
-		}
-		s.restore()
+	cl := make([]*model.Flow, len(flows))
+	for i, f := range flows {
+		cl[i] = f.Clone()
 	}
+	s := &Session{opt: opt, backend: b}
+	if s.fs, err = model.NewFlowSet(net, cl); err != nil {
+		return nil, err
+	}
+	s.restore()
 	return s, nil
 }
 
-// Set returns the last committed flow set, nil when empty. Sets are
-// copy-on-write, so the result stays valid after later mutations.
+// Set returns the last committed flow set. Sets are copy-on-write, so
+// the result stays valid after later mutations.
 func (s *Session) Set() *model.FlowSet { return s.fs }
 
 // Flows returns the committed flows in set order.
-func (s *Session) Flows() []*model.Flow {
-	if s.fs == nil {
-		return nil
-	}
-	return s.fs.Flows
-}
+func (s *Session) Flows() []*model.Flow { return s.fs.Flows }
 
-// Analyzer returns the warm engine over the committed set (nil when
-// empty), for read-only use such as what-if batches.
+// Analyzer returns the warm engine over the committed set, for
+// read-only use such as what-if batches.
 func (s *Session) Analyzer() *trajectory.Analyzer { return s.a }
 
 // Index returns the position of the committed flow named name, or -1.
@@ -131,24 +123,11 @@ func (s *Session) Admit(ctx context.Context, f *model.Flow) (Decision, error) {
 	if _, err := s.lookup(f.Name, false); err != nil {
 		return Decision{}, err
 	}
-	if s.a == nil {
-		fs, err := model.NewFlowSet(s.net, []*model.Flow{f})
-		if err != nil {
-			return Decision{}, model.Classify(model.ErrInvalidConfig, err)
-		}
-		if s.a, err = trajectory.NewAnalyzer(fs, s.opt); err != nil {
-			return Decision{}, err
-		}
-	} else if _, err := s.a.AddFlow(f); err != nil {
+	i, err := s.a.AddFlow(f)
+	if err != nil {
 		return Decision{}, model.Classify(model.ErrInvalidConfig, err)
 	}
-	return s.try(ctx, "admit", f, func() error {
-		if n := s.a.FlowSet().N(); n > 1 {
-			return s.a.RemoveFlow(n - 1)
-		}
-		s.a = nil
-		return nil
-	})
+	return s.try(ctx, "admit", f, func() error { return s.a.RemoveFlow(i) })
 }
 
 // Renegotiate replaces the contract of the committed flow named f.Name
@@ -179,9 +158,7 @@ func (s *Session) Release(ctx context.Context, name string) (Decision, error) {
 	if err != nil {
 		return Decision{}, err
 	}
-	if s.fs.N() == 1 {
-		s.a = nil
-	} else if err := s.a.RemoveFlow(i); err != nil {
+	if err := s.a.RemoveFlow(i); err != nil {
 		return Decision{}, err
 	}
 	return s.force(ctx, "release", name, nil)
@@ -190,12 +167,11 @@ func (s *Session) Release(ctx context.Context, name string) (Decision, error) {
 // Routes is the scoring half of a route=auto admit (or, with
 // renegotiate, renegotiation): RouteCandidates re-routes f onto up to
 // k shortest paths over topo, every candidate is scored against the
-// committed set — one WhatIf batch on the warm engine, ScoreRoutesCold
-// on an empty set — and ChooseRoute picks the winner (-1 when none is
-// feasible). The name is checked first, so a duplicate admit or an
-// unknown renegotiation fails exactly as on the manual path. The caller
-// commits the winner with Admit or Renegotiate, after recording the
-// candidates.
+// committed set as one WhatIf batch on the warm engine, and ChooseRoute
+// picks the winner (-1 when none is feasible). The name is checked
+// first, so a duplicate admit or an unknown renegotiation fails exactly
+// as on the manual path. The caller commits the winner with Admit or
+// Renegotiate, after recording the candidates.
 func (s *Session) Routes(ctx context.Context, topo *model.Topology, f *model.Flow, k int, renegotiate bool) ([]RouteCandidate, int, error) {
 	idx, err := s.lookup(f.Name, renegotiate)
 	if err != nil {
@@ -205,12 +181,7 @@ func (s *Session) Routes(ctx context.Context, topo *model.Topology, f *model.Flo
 	if err != nil {
 		return nil, -1, err
 	}
-	var cands []RouteCandidate
-	if s.a == nil {
-		cands = ScoreRoutesCold(ctx, s.net, s.opt, nil, cfs)
-	} else {
-		cands = ScoreRoutesWhatIf(ctx, s.a, cfs, idx)
-	}
+	cands := ScoreRoutesWhatIf(ctx, s.a, cfs, idx)
 	return cands, ChooseRoute(cands), nil
 }
 
@@ -218,11 +189,7 @@ func (s *Session) Routes(ctx context.Context, topo *model.Topology, f *model.Flo
 // hypothetical one). Refusal errors come back as errors; a deadline
 // miss sets Reason.
 func (s *Session) Verdict(ctx context.Context) (Decision, error) {
-	d := Decision{MinSlack: model.TimeInfinity}
-	if s.a == nil {
-		return d, nil
-	}
-	d.Set = s.a.FlowSet()
+	d := Decision{Set: s.a.FlowSet()}
 	var err error
 	if s.backend == BackendTrajectory {
 		d.Bounds, err = s.a.BoundsContext(ctx)
@@ -311,10 +278,7 @@ func (s *Session) commit(op, name string, f *model.Flow) error {
 			return err
 		}
 	}
-	s.fs = nil
-	if s.a != nil {
-		s.fs = s.a.FlowSet()
-	}
+	s.fs = s.a.FlowSet()
 	return nil
 }
 
@@ -322,10 +286,7 @@ func (s *Session) commit(op, name string, f *model.Flow) error {
 // analysis of a set is bit-identical to a warm one, so nothing
 // observable changes.
 func (s *Session) restore() {
-	s.a = nil
-	if s.fs != nil {
-		// NewAnalyzer fails only on NonPreemption vectors, which
-		// NewSession refuses.
-		s.a, _ = trajectory.NewAnalyzer(s.fs, s.opt)
-	}
+	// NewAnalyzer fails only on NonPreemption vectors, which NewSession
+	// refuses.
+	s.a, _ = trajectory.NewAnalyzer(s.fs, s.opt)
 }

@@ -87,10 +87,19 @@ func TestWithFlowRemovedMatchesCold(t *testing.T) {
 	if _, err := base.WithFlowRemoved(base.N()); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("past-end index: %v", err)
 	}
+	// Removing the last flow leaves the empty set; adding it back
+	// restores the one-flow set.
 	one := MustNewFlowSet(UnitDelayNetwork(), []*Flow{flowOn("solo", 1, 2)})
-	if _, err := one.WithFlowRemoved(0); err == nil || err.Error() != "flowset: no flows" {
-		t.Errorf("removing the last flow: %v", err)
+	empty, err := one.WithFlowRemoved(0)
+	if err != nil {
+		t.Fatalf("removing the last flow: %v", err)
 	}
+	equalFlowSets(t, empty, MustNewFlowSet(one.Net, nil))
+	back, err := empty.WithFlowAdded(one.Flows[0])
+	if err != nil {
+		t.Fatalf("adding into the empty set: %v", err)
+	}
+	equalFlowSets(t, back, one)
 }
 
 func TestWithFlowUpdatedMatchesCold(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 
 func TestNewFlowSetValidation(t *testing.T) {
 	net := UnitDelayNetwork()
-	if _, err := NewFlowSet(net, nil); err == nil {
-		t.Error("empty flow set accepted")
+	if fs, err := NewFlowSet(net, nil); err != nil || fs.N() != 0 {
+		t.Errorf("empty flow set: %v", err)
 	}
 	if _, err := NewFlowSet(Network{Lmin: 2, Lmax: 1}, []*Flow{flowOn("a", 1, 2)}); err == nil {
 		t.Error("Lmax < Lmin accepted")
@@ -195,5 +195,5 @@ func TestMustNewFlowSetPanics(t *testing.T) {
 			t.Error("MustNewFlowSet did not panic on invalid input")
 		}
 	}()
-	MustNewFlowSet(UnitDelayNetwork(), nil)
+	MustNewFlowSet(UnitDelayNetwork(), []*Flow{flowOn("a", 1, 2), flowOn("a", 3, 4)})
 }

@@ -58,7 +58,8 @@ func ParseFlowSetWithOriginals(r io.Reader) (*FlowSet, []*Flow, error) {
 	return cfg.BuildWithOriginals()
 }
 
-// Build converts the configuration into a validated FlowSet.
+// Build converts the configuration into a validated FlowSet. A
+// configuration with no flows is refused: there is nothing to analyse.
 func (cfg *FlowSetConfig) Build() (*FlowSet, error) {
 	fs, _, err := cfg.BuildWithOriginals()
 	return fs, err
@@ -80,6 +81,9 @@ func (cfg *FlowSetConfig) BuildWithOriginals() (*FlowSet, []*Flow, error) {
 	fs, err := NewFlowSet(net, split)
 	if err != nil {
 		return nil, nil, err
+	}
+	if fs.N() == 0 {
+		return nil, nil, Errorf(ErrInvalidConfig, "flowset: no flows")
 	}
 	return fs, flows, nil
 }

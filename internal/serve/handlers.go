@@ -378,6 +378,10 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	}
 	wr := &whatifReq{reply: make(chan whatifReply, 1)}
 	for k, c := range req.Candidates {
+		if c.Flow == nil && (c.Op == "add" || c.Op == "update") {
+			writeError(w, model.Errorf(model.ErrInvalidConfig, "serve: candidate %d: %s needs a flow", k, c.Op))
+			return
+		}
 		wc := whatifCand{op: c.Op, name: c.Name}
 		if c.Flow != nil {
 			f, err := c.Flow.Build()
@@ -465,7 +469,7 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 		ms := sn.MinSlack
 		resp.MinSlack = &ms
 	}
-	if sn.FS != nil && sn.Bounds != nil { // a failed release re-analysis publishes no bounds
+	if sn.Bounds != nil { // a failed release re-analysis publishes no bounds
 		resp.Verdicts = flowVerdicts(sn.FS.Flows, sn.Bounds)
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -474,18 +478,16 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 	sn := s.snap.Load()
 	resp := FlowsResponse{Seq: sn.Seq}
-	if sn.FS != nil {
-		for _, f := range sn.FS.Flows {
-			resp.Flows = append(resp.Flows, FlowInfo{
-				Name:     f.Name,
-				Period:   f.Period,
-				Jitter:   f.Jitter,
-				Deadline: f.Deadline,
-				Class:    f.Class.String(),
-				Path:     f.Path,
-				Cost:     f.Cost,
-			})
-		}
+	for _, f := range sn.FS.Flows {
+		resp.Flows = append(resp.Flows, FlowInfo{
+			Name:     f.Name,
+			Period:   f.Period,
+			Jitter:   f.Jitter,
+			Deadline: f.Deadline,
+			Class:    f.Class.String(),
+			Path:     f.Path,
+			Cost:     f.Cost,
+		})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

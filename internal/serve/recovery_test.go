@@ -189,14 +189,12 @@ func verifyRecovery(t *testing.T, disk *faultfs.FS, crash, tear int, maxAcked in
 	if sn.N() != len(wantNames) {
 		fail("rehydrated %d flows, oracle replayed %d", sn.N(), len(wantNames))
 	}
-	if sn.FS != nil {
-		for i, f := range sn.FS.Flows {
-			if f.Name != wantNames[i] {
-				fail("flow %d: rehydrated %q, oracle %q", i, f.Name, wantNames[i])
-			}
-			if sn.Bounds[i] != wantBounds[i] {
-				fail("flow %q: rehydrated bound %d, cold oracle bound %d", f.Name, sn.Bounds[i], wantBounds[i])
-			}
+	for i, f := range sn.FS.Flows {
+		if f.Name != wantNames[i] {
+			fail("flow %d: rehydrated %q, oracle %q", i, f.Name, wantNames[i])
+		}
+		if sn.Bounds[i] != wantBounds[i] {
+			fail("flow %q: rehydrated bound %d, cold oracle bound %d", f.Name, sn.Bounds[i], wantBounds[i])
 		}
 	}
 

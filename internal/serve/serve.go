@@ -165,7 +165,7 @@ func (c Config) checkpointEvery() int {
 type Snapshot struct {
 	// Seq counts committed mutations (preload is seq 1 when present).
 	Seq int64
-	// FS is the admitted flow set; nil when no flow is admitted. The
+	// FS is the admitted flow set, empty when no flow is admitted. The
 	// set is copy-on-write — later mutations build new sets — so this
 	// reference stays valid and immutable.
 	FS *model.FlowSet
@@ -181,12 +181,7 @@ type Snapshot struct {
 }
 
 // N returns the number of admitted flows.
-func (s *Snapshot) N() int {
-	if s == nil || s.FS == nil {
-		return 0
-	}
-	return s.FS.N()
-}
+func (s *Snapshot) N() int { return s.FS.N() }
 
 // decision is the mutation loop's reply to one admit/release/
 // renegotiate request.
@@ -597,10 +592,8 @@ func checkpointOf(net model.Network, sn *Snapshot) journal.Checkpoint {
 		Seq:     sn.Seq,
 		Network: model.NetworkConfig{Lmin: net.Lmin, Lmax: net.Lmax},
 	}
-	if sn.FS != nil {
-		for _, f := range sn.FS.Flows {
-			cp.Flows = append(cp.Flows, model.ConfigOfFlow(f))
-		}
+	for _, f := range sn.FS.Flows {
+		cp.Flows = append(cp.Flows, model.ConfigOfFlow(f))
 	}
 	return cp
 }
@@ -781,8 +774,8 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 
 	a := st.sess.Analyzer()
 	// Resolve every candidate against the committed set. Unresolvable
-	// candidates (unknown names, empty-set removes) fail individually
-	// without poisoning the batch.
+	// candidates (unknown names) fail individually without poisoning
+	// the batch.
 	type slot struct {
 		probe *whatifProbe // reply destination
 		cand  trajectory.Candidate
@@ -799,23 +792,11 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 			}
 			switch c.op {
 			case "add":
-				if a == nil {
-					// Probe against the empty set: a cold single-flow
-					// analysis, outside the fork batch.
-					st.probeEmptyAdd(ctx, p, c.flow)
-					continue
-				}
 				slots = append(slots, slot{p, trajectory.Candidate{Add: c.flow}})
 			case "remove":
 				i := st.sess.Index(c.name)
 				if i < 0 {
 					p.Err = model.Errorf(model.ErrInvalidConfig, "%w %q", ErrUnknownFlow, c.name)
-					continue
-				}
-				if a.FlowSet().N() == 1 {
-					// Removing the only flow leaves the trivially
-					// feasible empty set.
-					p.AllFeasible, p.MinSlack = true, model.TimeInfinity
 					continue
 				}
 				slots = append(slots, slot{p, trajectory.Candidate{Remove: true, Index: i}})
@@ -850,23 +831,6 @@ func (st *loopState) handleWhatIfBatch(batch []*whatifReq) {
 	for b, w := range batch {
 		w.reply <- whatifReply{probes: replies[b], snap: sn}
 	}
-}
-
-// probeEmptyAdd evaluates an "add" probe when no flow is admitted.
-func (st *loopState) probeEmptyAdd(ctx context.Context, p *whatifProbe, f *model.Flow) {
-	fs, err := model.NewFlowSet(st.s.cfg.Network, []*model.Flow{f.Clone()})
-	if err != nil {
-		p.Err = model.Classify(model.ErrInvalidConfig, err)
-		return
-	}
-	a, err := trajectory.NewAnalyzer(fs, st.s.opt)
-	if err == nil {
-		var bounds []model.Time
-		if bounds, err = a.BoundsContext(ctx); err == nil {
-			fillProbe(p, fs.Flows, bounds)
-		}
-	}
-	p.Err = err
 }
 
 // fillProbe completes a probe from the hypothetical set and its

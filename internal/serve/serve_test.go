@@ -199,6 +199,35 @@ func TestServeErrors(t *testing.T) {
 	}
 }
 
+// TestWhatIfCandidateWithoutFlow: an add or update probe that carries
+// no flow is refused with a 400 before it is queued, and the mutation
+// loop keeps serving admissions afterwards — into the empty set (the
+// add) and into a non-empty one (the update).
+func TestWhatIfCandidateWithoutFlow(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for k, op := range []string{"add", "update"} {
+		raw, err := json.Marshal(WhatIfRequest{Candidates: []WhatIfCandidate{{Op: "remove", Name: "ghost"}, {Op: op}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+"/v1/whatif", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		want := "serve: candidate 1: " + op + " needs a flow"
+		if err != nil || resp.StatusCode != http.StatusBadRequest || er.Error != want {
+			t.Fatalf("%s without flow: HTTP %d, error %q (%v), want 400 %q", op, resp.StatusCode, er.Error, err, want)
+		}
+		var d DecisionResponse
+		if code := postJSON(t, ts.Client(), ts.URL+"/v1/admit", AdmitRequest{Flow: callFlow(k)}, &d); code != http.StatusOK || d.Decision != "admitted" {
+			t.Fatalf("admit after %s probe: HTTP %d, %+v", op, code, d)
+		}
+	}
+}
+
 // TestServePreload installs a flow set at startup and verifies the
 // initial snapshot reflects it.
 func TestServePreload(t *testing.T) {
@@ -920,7 +949,7 @@ func TestServeBackendVerdicts(t *testing.T) {
 			t.Errorf("combined: admitted %d of 3, want 3", admitted)
 		}
 		sn := s.snap.Load()
-		if sn == nil || sn.FS == nil {
+		if sn == nil || sn.N() == 0 {
 			t.Fatalf("%s: no snapshot published", b)
 		}
 		want, err := feasibility.AnalyzeBackend(context.Background(), sn.FS, b, trajectory.Options{})

@@ -2,6 +2,7 @@ package trajectory
 
 import (
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"testing"
 
@@ -34,11 +35,14 @@ func staggeredFlows(tb testing.TB, n, hops int) *model.FlowSet {
 // which is the variable under test here. One warm-up call and a forced
 // collection precede the measured runs (the collection starts the
 // runtime's per-P mark workers, whose goroutines would otherwise count
-// against the first measurement after GOMAXPROCS grows); the result is
-// the integer mean, as in AllocsPerRun.
+// against the first measurement after GOMAXPROCS grows). Collection is
+// then paused for the measured runs, so a GC cycle landing inside the
+// window cannot add the runtime's own allocations; the result is the
+// integer mean, as in AllocsPerRun.
 func mallocsPerRun(runs int, f func()) uint64 {
 	f()
 	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

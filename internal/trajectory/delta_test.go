@@ -3,6 +3,7 @@ package trajectory
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -318,6 +319,51 @@ func TestDeltaChainedAddsUndoInOrder(t *testing.T) {
 	}
 }
 
+// TestDeltaDownToEmptyAndBack walks one analyzer down to the empty set
+// and back up, twice: general-path removes from a cold start, then
+// last-flow removes that pop the snapshot chain (the O(1) undo path).
+// Every step matches a cold rebuild of the same set.
+func TestDeltaDownToEmptyAndBack(t *testing.T) {
+	base := model.PaperExample()
+	for oi, opt := range deltaOptionMatrix() {
+		a, err := NewAnalyzer(base, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Analyze(); err != nil {
+			t.Fatal(err)
+		}
+		step := func(what string, err error) {
+			t.Helper()
+			tag := fmt.Sprintf("opt %d: %s to %d flows", oi, what, a.FlowSet().N())
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			requireWarmMatchesCold(t, tag, a, opt)
+		}
+		addAll := func() {
+			for _, f := range base.Flows {
+				_, err := a.AddFlow(f)
+				step("add", err)
+			}
+		}
+		for a.FlowSet().N() > 0 {
+			if a.undo != nil {
+				t.Fatalf("opt %d: snapshot chain after a cold start", oi)
+			}
+			step("remove first", a.RemoveFlow(0))
+		}
+		addAll()
+		for n := a.FlowSet().N(); n > 0; n-- {
+			if a.undo == nil || a.undo.fs.N() != n-1 {
+				t.Fatalf("opt %d: remove of flow %d would miss the undo path", oi, n-1)
+			}
+			step("undo", a.RemoveFlow(n-1))
+		}
+		addAll()
+	}
+}
+
 // TestDeltaMutationErrorsLeaveAnalyzerUsable: rejected mutations carry
 // the exact NewFlowSet error strings and do not disturb the analyzer.
 func TestDeltaMutationErrorsLeaveAnalyzerUsable(t *testing.T) {
@@ -348,15 +394,18 @@ func TestDeltaMutationErrorsLeaveAnalyzerUsable(t *testing.T) {
 		!strings.Contains(err.Error(), "out of range") {
 		t.Errorf("out-of-range update: %v", err)
 	}
-	// Removing every flow but one, then the last, must refuse like an
-	// empty NewFlowSet.
+	// Removing the last flow leaves the empty set, which has nothing
+	// left to remove.
 	b, err := NewAnalyzer(model.MustNewFlowSet(model.UnitDelayNetwork(),
 		[]*model.Flow{model.UniformFlow("solo", 40, 0, 0, 2, 1, 2)}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RemoveFlow(0); err == nil || err.Error() != "flowset: no flows" {
+	if err := b.RemoveFlow(0); err != nil || b.FlowSet().N() != 0 {
 		t.Errorf("removing the last flow: %v", err)
+	}
+	if err := b.RemoveFlow(0); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("removing from the empty set: %v", err)
 	}
 
 	got, err := a.Analyze()

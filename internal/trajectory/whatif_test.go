@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"regexp"
@@ -121,6 +122,41 @@ func TestWhatIfMatchesColdPerCandidate(t *testing.T) {
 				if got := a.FlowSet().N(); got != base.N() {
 					t.Fatalf("set %d: base flow count changed to %d", si, got)
 				}
+			}
+		}
+	}
+}
+
+// TestWhatIfAcrossEmptySet: removing the only flow and adding into an
+// empty analyzer are ordinary candidates, each equal to a cold Analyze
+// of the hypothetical set, from an unanalysed and an analysed base.
+func TestWhatIfAcrossEmptySet(t *testing.T) {
+	net := model.UnitDelayNetwork()
+	solo := model.UniformFlow("solo", 40, 1, 30, 2, 1, 2, 3)
+	for oi, opt := range deltaOptionMatrix() {
+		for _, analysed := range []bool{false, true} {
+			cases := []struct {
+				name string
+				base []*model.Flow
+				cand Candidate
+				want []*model.Flow
+			}{
+				{"remove the only flow", []*model.Flow{solo}, Candidate{Remove: true, Index: 0}, nil},
+				{"add into the empty set", nil, Candidate{Add: solo}, []*model.Flow{solo}},
+			}
+			for _, tc := range cases {
+				tag := fmt.Sprintf("opt %d analysed %v: %s", oi, analysed, tc.name)
+				a, err := NewAnalyzer(model.MustNewFlowSet(net, tc.base), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if analysed {
+					if _, err := a.Analyze(); err != nil {
+						t.Fatalf("%s: base: %v", tag, err)
+					}
+				}
+				res, err := Analyze(model.MustNewFlowSet(net, tc.want), opt)
+				requireOutcomeMatches(t, tag, a.WhatIf([]Candidate{tc.cand})[0], WhatIfOutcome{Result: res, Err: err})
 			}
 		}
 	}

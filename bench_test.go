@@ -356,6 +356,49 @@ func BenchmarkAdmissionChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkAdmissionLifecycle times a transient flow's whole life on one
+// persistent Analyzer: admit the probe, query bounds, renegotiate it on
+// the same path at 0.9× its period, query, release it, query. The
+// renegotiation of the flow just admitted rides the undo chain, so the
+// release is a snapshot restore.
+func BenchmarkAdmissionLifecycle(b *testing.B) {
+	const n, hops = 64, 5
+	fs := staggeredSet(b, n, hops)
+	a, err := trajectory.NewAnalyzer(fs, trajectory.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := a.Bounds(); err != nil {
+		b.Fatal(err)
+	}
+	probe := probeFlow(n, hops)
+	reneg := probe.Clone()
+	reneg.Period = probe.Period * 9 / 10
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx, err := a.AddFlow(probe)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.Bounds(); err != nil {
+			b.Fatal(err)
+		}
+		if err := a.UpdateFlow(idx, reneg); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.Bounds(); err != nil {
+			b.Fatal(err)
+		}
+		if err := a.RemoveFlow(idx); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.Bounds(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAdmissionCold is the same admission decision without the
 // warm engine: rebuild the flow set and a fresh Analyzer per candidate.
 // This is what every admission cost before the delta layer existed.

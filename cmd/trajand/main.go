@@ -12,7 +12,7 @@
 //	        [-topology clos:4x4x4|topo.json] [-route-k 4]
 //	        [-journal-dir DIR] [-max-tenants N] [-checkpoint-every N]
 //	        [-backend trajectory|holistic|netcalc|combined]
-//	        [-smax prefix|tail|noqueue] [-workers N] [-queue 64]
+//	        [-smax prefix|tail] [-workers N] [-queue 64]
 //	        [-request-timeout 5s] [-drain-timeout 10s]
 //	        [-trace events.json]
 //	trajand -loadgen churn.json -target http://host:8080
@@ -108,7 +108,7 @@ func runDaemon(ctx context.Context, args []string, out io.Writer) (retErr error)
 		ckptEvery   = fl.Int("checkpoint-every", 0, "journal records between flow-set checkpoints (0 = 64)")
 		topoSpec    = fl.String("topology", "", "daemon topology: a spec (line:N|ring:N|star:N|grid:RxC|clos:SxLxH|paper) or a topology JSON file; enables manual-path validation and route=auto admission")
 		routeK      = fl.Int("route-k", 0, "route=auto candidate-path fan-out (0 = 4; needs -topology)")
-		smaxMode    = fl.String("smax", "prefix", "Smax estimator: prefix|tail|noqueue")
+		smaxMode    = fl.String("smax", "prefix", "Smax estimator: prefix|tail (trajan keeps the unsound noqueue floor for sensitivity studies)")
 		backendName = fl.String("backend", "", "analysis backend the admission verdicts follow: trajectory|holistic|netcalc|combined (empty = warm trajectory; see docs/BACKENDS.md)")
 		workers     = fl.Int("workers", 0, "what-if candidate parallelism (0 = GOMAXPROCS)")
 		queue       = fl.Int("queue", 0, "mutation/what-if queue depth before 429 backpressure (0 = 64)")
@@ -135,8 +135,6 @@ func runDaemon(ctx context.Context, args []string, out io.Writer) (retErr error)
 		opt.Smax = trajectory.SmaxPrefixFixpoint
 	case "tail":
 		opt.Smax = trajectory.SmaxGlobalTail
-	case "noqueue":
-		opt.Smax = trajectory.SmaxNoQueue
 	default:
 		return model.Errorf(model.ErrInvalidConfig, "unknown -smax %q", *smaxMode)
 	}

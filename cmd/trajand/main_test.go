@@ -294,6 +294,7 @@ func TestTraceWriteFailureExitsNonzero(t *testing.T) {
 func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-smax", "bogus"},
+		{"-smax", "noqueue"}, // unsound: trajan-only
 		{"-workers", "-1"},
 		{"-loadgen", "testdata/churn.json"}, // missing -target
 		{"-preload", "testdata/does-not-exist.json"},
@@ -303,5 +304,10 @@ func TestBadFlags(t *testing.T) {
 		if code != 2 || err == nil {
 			t.Errorf("args %v: code %d err %v, want code 2 and an error", args, code, err)
 		}
+	}
+	// The daemon admits only on sound estimators: the no-queue floor is
+	// refused like any unknown mode.
+	if _, err := run(context.Background(), []string{"-smax", "noqueue"}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "unknown -smax") {
+		t.Errorf("-smax noqueue: err %v, want unknown -smax", err)
 	}
 }

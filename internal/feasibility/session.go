@@ -189,6 +189,9 @@ func (s *Session) Routes(ctx context.Context, topo *model.Topology, f *model.Flo
 // hypothetical one). Refusal errors come back as errors; a deadline
 // miss sets Reason.
 func (s *Session) Verdict(ctx context.Context) (Decision, error) {
+	if testVerdictHook != nil {
+		testVerdictHook()
+	}
 	d := Decision{Set: s.a.FlowSet()}
 	var err error
 	if s.backend == BackendTrajectory {
@@ -209,6 +212,11 @@ func (s *Session) Verdict(ctx context.Context) (Decision, error) {
 	}
 	return d, nil
 }
+
+// testVerdictHook, when non-nil, runs at the top of every Verdict.
+// Tests use it to pin when the Commit hook runs relative to the
+// verdict.
+var testVerdictHook func()
 
 // lookup finds name in the committed set: it must be there when
 // present is true (ErrUnknownFlow otherwise) and must not be otherwise.

@@ -128,9 +128,13 @@ func TestSessionMatchesColdOracle(t *testing.T) {
 			}
 			failHook := false
 			var hooked []string
-			hookedAt := 0 // events emitted before the hook ran
+			// verdicts counts Verdict calls; stepStart is the count when
+			// the step began and atHook the step's count when the hook ran.
+			verdicts, stepStart, atHook := 0, 0, -1
+			testVerdictHook = func() { verdicts++ }
+			defer func() { testVerdictHook = nil }()
 			s.Commit = func(op, name string, f *model.Flow) error {
-				hookedAt = len(events.Events())
+				atHook = verdicts - stepStart
 				if failHook {
 					return errHook
 				}
@@ -162,6 +166,7 @@ func TestSessionMatchesColdOracle(t *testing.T) {
 				}
 
 				failHook = st.failHook
+				stepStart, atHook = verdicts, -1
 				var d Decision
 				ctx := context.Background()
 				switch st.op {
@@ -203,9 +208,12 @@ func TestSessionMatchesColdOracle(t *testing.T) {
 						wantHooked = append(wantHooked, st.op+" "+name)
 						// Admit and Renegotiate call the hook after their
 						// verdict, Release and Update before it.
-						after := len(events.Events()) - hookedAt
-						if unconditional != (after > 0) && len(trial) > 0 {
-							t.Fatalf("%s: %d events after the commit hook", at, after)
+						wantAtHook := 1
+						if unconditional {
+							wantAtHook = 0
+						}
+						if ran := verdicts - stepStart; atHook != wantAtHook || ran != 1 {
+							t.Fatalf("%s: commit hook ran after %d of the step's %d verdicts, want after %d of 1", at, atHook, ran, wantAtHook)
 						}
 					}
 				}

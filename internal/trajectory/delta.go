@@ -11,8 +11,10 @@ import (
 //
 //  1. derives the new flow set copy-on-write (model delta constructors),
 //  2. keeps every cached view whose interferer set the change cannot
-//     touch (flows whose paths do not intersect the changed flow) and
-//     drops only the reachable ones, and
+//     touch (flows whose paths do not intersect the changed flow); an
+//     add also keeps the views it does touch, which resume with the new
+//     flow's row at their next hand-out, while a release or update
+//     drops them, and
 //  3. leaves a warm-start seed for the Smax prefix fixed point: the
 //     previously converged rows for untouched flows, the no-queue floor
 //     for the flows whose equations changed.
@@ -25,8 +27,11 @@ import (
 // row in the interference closure of the changed flow restarts from the
 // no-queue floor while rows outside the closure — whose equations form
 // an unchanged, self-contained subsystem — keep their converged values.
-// A flow-granular dirty set over-approximates the slots whose equations
-// changed; a spurious mark only costs one no-op re-evaluation.
+// Updating the flow just added is the exception: the updated set is the
+// pre-add set plus one flow, so it restores the pre-add snapshot and
+// adds again, and the pre-add fixed point seeds it. A flow-granular
+// dirty set over-approximates the slots whose equations changed; a
+// spurious mark only costs one no-op re-evaluation.
 //
 // Differential tests (delta_test.go) pin the results of every mutated
 // analyzer, including error strings and Unbounded verdicts, to a cold
@@ -39,8 +44,11 @@ const maxUndoDepth = 32
 
 // undoSnap captures the Analyzer's complete pre-AddFlow state. AddFlow
 // never mutates the structures a snapshot aliases — it builds fresh
-// outer arrays and a fresh seed table — so restoring is O(1) and
-// bit-exact.
+// outer arrays, fresh prefix rows for the neighbours of the new flow
+// and a fresh seed table, and buildAll resumes a view into a new object
+// instead of extending the old one — so restoring is O(1) and
+// bit-exact. The snapshot's views are the pre-admit versions that an
+// UpdateFlow of the newest flow resumes from.
 type undoSnap struct {
 	prev      *undoSnap
 	fs        *model.FlowSet
@@ -138,14 +146,16 @@ func closureFrom(fs *model.FlowSet, seed []bool) []bool {
 }
 
 // remapView rewrites a kept slot's view for a mutated flow list: flow
-// indexes above `removed` shift down by one (removed < 0 means no
-// shift, only the entry ids changed), the precomputed global entry ids are
-// translated to the new bases, and the read set is rebuilt against the
-// new ids. Only views that do NOT interfere with the changed flow are
-// ever remapped, so the cached constants (A offsets, M terms, slow
-// node, Bslow) remain exact — which is why the clone below shares the
-// constant arrays (aConst, csj, iperiods, sameDir) and copies only the
-// index-bearing ones. Remapping runs while the Analyzer still holds the
+// indexes above `removed` shift down by one, and so does the flow count
+// the view was built against when the removed flow was among it
+// (removed < 0 means no shift, only the entry ids changed), the
+// precomputed global entry ids are translated to the new bases, and the
+// read set is rebuilt against the new ids. Only views that do NOT
+// interfere with the changed flow are ever remapped, so the cached
+// constants (A offsets, M terms, slow node, Bslow) remain exact — which
+// is why the clone below shares the constant arrays (aConst, csj,
+// iperiods, sameDir) and the stored build state (sd), and copies only
+// the index-bearing ones. Remapping runs while the Analyzer still holds the
 // PRE-mutation entry bases (a.entryBase); the new bases arrive as the
 // entryBase argument. On a copy-on-write fork the view is cloned first
 // — the original stays aliased by the base Analyzer. The slot's shown
@@ -173,6 +183,9 @@ func (a *Analyzer) remapView(s viewSlot, removed int, entryBase []int) viewSlot 
 	oldBase := a.entryBase
 	if removed >= 0 && vc.flow > removed {
 		vc.flow--
+	}
+	if removed >= 0 && vc.n > removed {
+		vc.n--
 	}
 	newBaseI := int32(entryBase[vc.flow])
 	oldBaseI := int32(oldBase[oldFlow])
@@ -272,12 +285,15 @@ func (a *Analyzer) restore(s *undoSnap) {
 }
 
 // AddFlow admits a copy of f into the analyzer's flow set and returns
-// its index (always N()-1). Views of flows that do not intersect f are
-// kept; the Smax fixed point warm-starts from the previous converged
-// table, which remains a valid under-seed because an added flow only
-// grows the interference operator. On a validation error (invalid flow,
-// duplicate name, Assumption-1 violation — the exact errors NewFlowSet
-// would report) the analyzer is unchanged and remains usable.
+// its index (always N()-1). Every view is kept: views of flows that do
+// not intersect f stay as they are, and each view of an intersecting
+// flow resumes at its next hand-out with one more row, f's, which
+// buildAll appends last just as a build from empty would. The Smax
+// fixed point warm-starts from the previous converged table, which
+// remains a valid under-seed because an added flow only grows the
+// interference operator. On a validation error (invalid flow, duplicate
+// name, Assumption-1 violation — the exact errors NewFlowSet would
+// report) the analyzer is unchanged and remains usable.
 func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -291,6 +307,13 @@ func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 	if err != nil {
 		return 0, err
 	}
+	return a.appendFlow(nfs, "add"), nil
+}
+
+// appendFlow installs nfs — the current set plus one flow at the end —
+// as AddFlow does, records the pre-mutation state on the undo chain,
+// and traces the mutation as op.
+func (a *Analyzer) appendFlow(nfs *model.FlowSet, op string) int {
 	nOld := a.fs.N()
 	warm := a.warmEligible()
 	src, srcDirty, srcAllDirty := a.seedSource()
@@ -298,17 +321,27 @@ func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 	// Existing flows whose views gain the new interferer.
 	nbr := intersectors(nfs, nOld)
 
+	// Entry ids of existing flows are unchanged (the new flow's entries
+	// append at the end), so every view carries over as-is — including
+	// its read set. A neighbour's slots are copied unshown: its views
+	// resume at their next hand-out, which emits bslow.fixpoint as a
+	// rebuild would.
 	full := make([]viewSlot, nOld+1)
 	prefix := make([][]viewSlot, nOld+1)
+	copy(full, a.full)
+	copy(prefix, a.prefix)
 	for j := 0; j < nOld; j++ {
-		if nbr[j] {
-			continue // rebuilt lazily with the new interferer
+		if !nbr[j] {
+			continue
 		}
-		// Entry ids of existing flows are unchanged (the new flow's
-		// entries append at the end), so untouched views carry over
-		// as-is — including their read sets.
-		full[j] = a.full[j]
-		prefix[j] = a.prefix[j]
+		full[j] = staleSlot(full[j], nOld)
+		if row := prefix[j]; row != nil {
+			nrow := make([]viewSlot, len(row))
+			for k, s := range row {
+				nrow[k] = staleSlot(s, nOld)
+			}
+			prefix[j] = nrow
+		}
 	}
 	entryBase := make([]int, nOld+1)
 	copy(entryBase, a.entryBase)
@@ -340,9 +373,22 @@ func (a *Analyzer) AddFlow(f *model.Flow) (idx int, err error) {
 	a.resetSmaxState()
 	a.pendingSeed, a.pendingDirty = seed, dirty
 	if tr := a.opt.Tracer; tr != nil {
-		emitDelta(tr, "add", nfs.Flows[nOld].Name, warm, dirty)
+		emitDelta(tr, op, nfs.Flows[nOld].Name, warm, dirty)
 	}
-	return nOld, nil
+	return nOld
+}
+
+// staleSlot is a neighbour's slot after an AddFlow to a set of nOld
+// flows: unshown, with a view to resume from. A view built against more
+// than nOld flows was built further down an add chain and restored with
+// a prefix row it shared (see viewSlot); it covers this set exactly,
+// but resuming it from its own n would skip the flow being added, so it
+// is dropped and rebuilt from empty.
+func staleSlot(s viewSlot, nOld int) viewSlot {
+	if s.vc != nil && s.vc.n > nOld {
+		return viewSlot{}
+	}
+	return viewSlot{vc: s.vc}
 }
 
 // RemoveFlow evicts the flow at index i; flows above it shift down by
@@ -445,10 +491,20 @@ func (a *Analyzer) RemoveFlow(i int) (err error) {
 }
 
 // UpdateFlow replaces the flow at index i with a copy of f (same
-// index, new parameters). Views of flows intersecting neither the old
-// nor the new flow survive; the interference closure of both restarts
-// from the no-queue floor. Validation errors leave the analyzer
+// index, new parameters). Validation errors leave the analyzer
 // unchanged.
+//
+// Updating the newest flow while the undo chain still holds the set
+// without it (a renegotiation of the flow just admitted) is an undo
+// followed by an add: the updated set is the pre-admit set plus one
+// flow, so the neighbours' views resume from their pre-admit versions,
+// the pre-admit fixed point seeds Smax with only the neighbours dirty,
+// and the chain survives for an O(1) RemoveFlow. The delta event keeps
+// op "update".
+//
+// Any other update keeps the views of flows intersecting neither the
+// old nor the new flow and restarts the interference closure of both
+// from the no-queue floor.
 func (a *Analyzer) UpdateFlow(i int, f *model.Flow) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -464,6 +520,11 @@ func (a *Analyzer) UpdateFlow(i int, f *model.Flow) (err error) {
 	nfs, err := a.fs.WithFlowUpdated(i, f)
 	if err != nil {
 		return err
+	}
+	if i == a.fs.N()-1 && a.undo != nil && a.undo.fs.N() == i {
+		a.restore(a.undo)
+		a.appendFlow(nfs, "update")
+		return nil
 	}
 	n := a.fs.N()
 	warm := a.warmEligible()

@@ -57,8 +57,8 @@ type Analyzer struct {
 	opt Options
 
 	// full[i] is the slot of flow i's full-path view; prefix[i][k] of
-	// the view over Path[:k] (1 ≤ k < len(Path)). buildAll fills every
-	// missing slot of a flow at once, but a slot's view is handed out —
+	// the view over Path[:k] (1 ≤ k < len(Path)). buildAll brings every
+	// slot of a flow up to date at once, but a slot's view is handed out —
 	// and its bslow.fixpoint event emitted, or its build error returned
 	// — only when first requested, in the evaluation order of the
 	// reference path, so traces and errors surface for the same flow at
@@ -103,7 +103,8 @@ type Analyzer struct {
 
 	// undo is the chain of pre-AddFlow snapshots enabling the O(1)
 	// RemoveFlow fast path of an admission probe (add, analyze, reject).
-	// Any other mutation clears the chain.
+	// An UpdateFlow of the newest flow keeps it (undo, then add); any
+	// other mutation clears the chain.
 	undo      *undoSnap
 	undoDepth int
 
@@ -454,22 +455,31 @@ func (a *Analyzer) slot(i, plen int) *viewSlot {
 // out yet. View objects are shared with undo snapshots and WhatIf
 // forks, so the shown mark lives in the slot instead. Forks copy their
 // slots, so a fork's first request emits its own bslow.fixpoint event
-// and never marks the base's slot. A prefix row AddFlow keeps may be
-// shared with the undo snapshot; a restore then keeps the mark, just as
-// it keeps a view built after the snapshot.
+// and never marks the base's slot. AddFlow copies a neighbour's slots
+// unshown, so the resumed view is handed out — and traced — afresh; a
+// prefix row it keeps unchanged is shared with the undo snapshot, and a
+// restore then keeps the mark, just as it keeps a view built or resumed
+// after the snapshot. Such a view may have been built against more flows
+// than the restored set holds: the flows it counted beyond that set did
+// not meet it (the row was shared only because they did not), so it is
+// still exact for the set, and AddFlow rebuilds it from empty before it
+// could resume (see staleSlot).
 type viewSlot struct {
 	vc    *viewCache
 	shown bool
 }
 
 // handOut serves the first request for flow i's view of length plen:
-// it builds the flow's missing views when the slot is empty, returns
-// the busy-period error the view's build recorded, or marks the slot
-// shown and emits the view's bslow.fixpoint event. Building is silent,
-// so the trace shows each view where the analysis first uses it,
-// however far ahead buildAll built it.
+// it brings the flow's views up to date when the slot is empty or its
+// view predates flows added since, returns the busy-period error the
+// view's build recorded, or marks the slot shown and emits the view's
+// bslow.fixpoint event. Building is silent, so the trace shows each
+// view where the analysis first uses it, however far ahead buildAll
+// built it.
 func (a *Analyzer) handOut(i, plen int) (*viewCache, error) {
-	if a.prefix[i] == nil || a.slot(i, plen).vc == nil {
+	if a.prefix[i] == nil {
+		a.buildAll(i)
+	} else if vc := a.slot(i, plen).vc; vc == nil || vc.n < a.fs.N() {
 		a.buildAll(i)
 	}
 	s := a.slot(i, plen)
@@ -544,6 +554,14 @@ type viewCache struct {
 	// flag expressions mirror boundCtx's exactly (see harden.go). eval
 	// seeds its per-sweep flag from it.
 	sat bool
+	// n is the flow count the view was built against: its rows are the
+	// interferers among flows [0, n). rowSat and sd are the build state
+	// at the end of those rows, before finishView — the saturation flag
+	// and the per-node minSD (sd[:plen]) and maxSD (sd[plen:]) — so
+	// buildAll can resume the view with rows for flows n and above.
+	rowSat bool
+	n      int
+	sd     []model.Time
 }
 
 // finishView runs the interferer-independent tail of a view build:
@@ -621,14 +639,30 @@ func (vc *viewCache) maxCost(fs *model.FlowSet) model.Time {
 	return bc
 }
 
-// buildAll builds every missing view of flow i — all prefix lengths
-// and the full path — in ONE interferer sweep, filling the SoA arrays
-// directly. It is the engine's only view builder, for traced and
-// untraced analyzers and any path length. Each pair's anchors are
-// derived once, and every view's build state advances in ascending-j
-// order, so each view's sequence of mTermAt/absorb/addGroup calls is
-// the reference newBoundCtx's own (the differential tests pin the
-// resulting views and errors).
+// testBuildHook, when non-nil, runs for every view buildAll builds or
+// resumes, with the first flow its new rows scan (0 for a build from
+// empty). Tests use it to pin which views a mutation rebuilds.
+var testBuildHook func(flow, plen, from int)
+
+// buildAll brings every view of flow i — all prefix lengths and the
+// full path — up to date in ONE interferer sweep, filling the SoA
+// arrays directly. It is the engine's only view builder, for traced and
+// untraced analyzers and any path length. A missing view is built from
+// the empty state over flows [0, N). A view built against fewer flows
+// (vc.n < N) resumes from the end-of-rows state it stored and scans
+// flows [vc.n, N) only: a flow is always added at the highest index and
+// the builder adds interferers in ascending flow order, so the rows a
+// resume appends are exactly the last rows a build from empty would
+// add. Each pair's anchors are derived once, and every view's build
+// state advances in ascending-j order, so each view's sequence of
+// mTermAt/absorb/addGroup calls is the reference newBoundCtx's own (the
+// differential tests pin the resulting views and errors).
+//
+// Existing view objects are never written: a resumed view is a new
+// object whose arrays are copied into exact-size arena slices before
+// the new rows append, and a stale view no new flow meets is re-issued
+// as a new object sharing the old arrays. Undo snapshots and WhatIf
+// forks that alias the old view see it unchanged.
 //
 // Building is silent: each view records its busy-period iteration
 // count, and handOut emits the bslow.fixpoint event when the view is
@@ -638,32 +672,43 @@ func (a *Analyzer) buildAll(i int) {
 	fs := a.fs
 	f := fs.Flows[i]
 	L := len(f.Path)
+	n := fs.N()
 	if a.prefix[i] == nil {
 		a.prefix[i] = make([]viewSlot, L)
 	}
-	maxNeed := 0 // the longest missing view
+	ms := &a.multi
+	// from[p-1] is the first flow the plen-p view still has to scan: 0
+	// when the view is missing, vc.n when it is stale, n when it is up
+	// to date. lo is the lowest of them, maxNeed the longest view with
+	// work left.
+	ms.from = growN(ms.from, L)
+	lo, maxNeed := n, 0
 	for p := 1; p <= L; p++ {
-		if a.slot(i, p).vc == nil {
+		from := n
+		if vc := a.slot(i, p).vc; vc == nil {
+			from = 0
+		} else if vc.n < n {
+			from = vc.n
+		}
+		ms.from[p-1] = int32(from)
+		if from < n {
 			maxNeed = p
+			lo = min(lo, from)
 		}
 	}
 	if maxNeed == 0 {
 		return
 	}
 	tp := a.ensureTopo()
-	ms := &a.multi
-	n := fs.N()
 	posI := tp.pos[i]
 	dpi := tp.dpath[i]
 
-	// Pass 1: each interferer's activation index, histogrammed so every
-	// view's interferer count is a prefix sum.
+	// Pass 1: the activation index of each flow of [lo, n), histogrammed
+	// so every view's new-row count is a prefix sum.
 	ms.minKi = growN(ms.minKi, n)
 	ms.hist = growN(ms.hist, L)
-	for m := 0; m < L; m++ {
-		ms.hist[m] = 0
-	}
-	for j := 0; j < n; j++ {
+	clear(ms.hist)
+	for j := lo; j < n; j++ {
 		if j == i {
 			ms.minKi[j] = -1
 			continue
@@ -680,7 +725,8 @@ func (a *Analyzer) buildAll(i int) {
 		}
 	}
 
-	// Carve the missing views at exact size and open their build states.
+	// Open the build state of every view with work left and carve its
+	// arrays at exact size: the rows it keeps plus the rows it gains.
 	ms.vcs = growN(ms.vcs, L)
 	ms.xs = growN(ms.xs, L)
 	ms.st = growN(ms.st, L)
@@ -689,17 +735,44 @@ func (a *Analyzer) buildAll(i int) {
 	for p := 1; p <= maxNeed; p++ {
 		cum += int(ms.hist[p-1])
 		ms.vcs[p-1] = nil
-		if a.slot(i, p).vc != nil {
+		from := int(ms.from[p-1])
+		if from >= n {
 			continue
 		}
+		add := cum
+		for j := lo; j < from; j++ { // only when views resume from different flows
+			if mk := ms.minKi[j]; mk >= 0 && int(mk) < p {
+				add--
+			}
+		}
+		s := a.slot(i, p)
+		old := s.vc
 		vc := ar.newView()
+		if old != nil && add == 0 {
+			*vc = *old
+			vc.n = n
+			s.vc = vc
+			continue
+		}
+		if testBuildHook != nil {
+			testBuildHook(i, p, from)
+		}
+		st := &ms.st[p-1]
+		kept := 0
+		if old == nil {
+			st.reset(p, f.Cost[:p])
+		} else {
+			kept = len(old.jflow)
+			vc.sat = old.rowSat
+			st.resume(old.sd, old.iperiods, old.csj)
+		}
 		vc.flow = i
 		vc.plen = p
 		vc.period = f.Period
 		vc.jitter = f.Jitter
 		vc.clast = f.Cost[p-1]
 		vc.delta = a.opt.deltaForView(i, p, &vc.sat)
-		ni := cum
+		ni := kept + add
 		vc.jflow = arenaSlice(&ar.ints, ni)
 		vc.iEnt = arenaSlice(&ar.ints, ni)
 		vc.jEnt = arenaSlice(&ar.ints, ni)
@@ -707,20 +780,28 @@ func (a *Analyzer) buildAll(i int) {
 		vc.csj = arenaSlice(&ar.times, ni)
 		vc.iperiods = arenaSlice(&ar.times, ni)
 		vc.sameDir = arenaSlice(&ar.bools, ni)
+		if old != nil {
+			copy(vc.jflow, old.jflow)
+			copy(vc.iEnt, old.iEnt)
+			copy(vc.jEnt, old.jEnt)
+			copy(vc.aConst, old.aConst)
+			copy(vc.csj, old.csj)
+			copy(vc.iperiods, old.iperiods)
+			copy(vc.sameDir, old.sameDir)
+		}
 		ms.vcs[p-1] = vc
-		ms.xs[p-1] = 0
-		ms.st[p-1].reset(p, f.Cost[:p])
+		ms.xs[p-1] = int32(kept)
 	}
 
 	// Pass 2: one bucket computation per pair, then an ascending-plen
 	// combine that maintains the prefix anchors incrementally and fills
-	// each missing view's next SoA slot.
+	// the next SoA slot of each view that has not seen flow j yet.
 	lmin := fs.Net.Lmin
 	baseI := int32(a.entryBase[i])
 	ms.idxAt = growN(ms.idxAt, L)
 	ms.maxAt = growN(ms.maxAt, L)
 	ms.crow = growN(ms.crow, L)
-	for j := 0; j < n; j++ {
+	for j := lo; j < n; j++ {
 		mk := ms.minKi[j]
 		if mk < 0 || int(mk) >= maxNeed {
 			continue
@@ -780,7 +861,7 @@ func (a *Analyzer) buildAll(i int) {
 				}
 			}
 			vc := ms.vcs[p-1]
-			if vc == nil {
+			if vc == nil || int32(j) < ms.from[p-1] {
 				continue
 			}
 			st := &ms.st[p-1]
@@ -808,6 +889,8 @@ func (a *Analyzer) buildAll(i int) {
 		}
 	}
 
+	// Store each view's end-of-rows state for the next resume, then run
+	// the interferer-independent tail.
 	ms.seen = growN(ms.seen, L)
 	for p := 1; p <= maxNeed; p++ {
 		vc := ms.vcs[p-1]
@@ -818,7 +901,13 @@ func (a *Analyzer) buildAll(i int) {
 		ms.reads = vc.appendReads(ms.reads[:0], baseI, ms.seen)
 		vc.readIDs = arenaSlice(&ar.ints, len(ms.reads))
 		copy(vc.readIDs, ms.reads)
-		vc.err = a.finishView(vc, f.Path[:p], f.Cost[:p], &ms.st[p-1])
+		st := &ms.st[p-1]
+		vc.n = n
+		vc.sd = arenaSlice(&ar.times, 2*p)
+		copy(vc.sd, st.minSD[:p])
+		copy(vc.sd[p:], st.maxSD[:p])
+		vc.rowSat = vc.sat
+		vc.err = a.finishView(vc, f.Path[:p], f.Cost[:p], st)
 		a.slot(i, p).vc = vc
 	}
 }

@@ -256,25 +256,43 @@ func (sc *buildScratch) reset(plen int, cost []model.Time) {
 	sc.mDirty = true
 }
 
+// resume reopens a view's build state from the end-of-rows state the
+// view stored (viewCache.sd): the per-node extrema as they were after
+// its last row, and the busy-period groups regenerated from its rows in
+// order — the very groups its build staged.
+func (sc *buildScratch) resume(sd, iperiods, csj []model.Time) {
+	plen := len(sd) / 2
+	sc.reset(plen, sd[:plen])
+	copy(sc.maxSD, sd[plen:])
+	for x := range iperiods {
+		sc.addGroup(iperiods[x], csj[x])
+	}
+}
+
 // multiScratch is the working state of the all-prefix view builder
-// (Analyzer.buildAll): one interferer sweep fills EVERY missing view of
-// a flow at once, so the per-pair anchors (first-crossing positions,
+// (Analyzer.buildAll): one interferer sweep brings EVERY view of a flow
+// up to date at once, so the per-pair anchors (first-crossing positions,
 // running charge maxima, jitter-minus-Smin offsets) are computed
 // exactly once per pair instead of once per (pair, plen).
 //
+//   - from[p-1] is the first flow the plen-p view has yet to scan (0
+//     for a missing view, its n for a stale one).
 //   - minKi[j] is the activation index of interferer j: j appears in
 //     the plen-p view iff p > minKi[j] (the smallest i-position shared
 //     with Pj); -1 when the paths are disjoint. hist[m] counts the
-//     interferers activating at m, so per-view interferer counts are
-//     prefix sums — the SoA arrays carve at exact size before the fill.
+//     scanned interferers activating at m, so per-view new-row counts
+//     are prefix sums — the SoA arrays carve at exact size before the
+//     fill.
 //   - st[p-1] is the plen-p view's private build state (M-term extrema,
-//     busy-period groups): the sweep advances every view's state in
+//     busy-period groups), opened empty or resumed from the view's
+//     stored state: the sweep advances every view's state in
 //     ascending-j order, so each per-view sequence of
 //     mTermAt/absorb/addGroup calls is that of a standalone build.
 //   - idxAt/maxAt/crow bucket one interferer's nodes by their position
 //     on Pi; crow doubles as the same-direction absorb row.
 //   - seen/reads dedup and stage one view's read set (appendReads).
 type multiScratch struct {
+	from  []int32
 	minKi []int32
 	hist  []int32
 	st    []buildScratch
